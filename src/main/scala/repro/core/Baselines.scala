@@ -8,8 +8,8 @@ import repro.stream.{ThresholdWindow, Windows}
 /** Naive baselines: the shape a user of a generic streaming engine
   * (Kafka/Flink per the paper's introduction) writes by hand without a
   * spatiotemporal library — every event tested against *every* zone by
-  * generic point-in-polygon, no bounding-box prefilter, no predicate
-  * pushdown before window replication.
+  * generic point-in-polygon, no spatial index, no predicate pushdown
+  * before window replication.
   *
   * Each baseline is semantically identical to its [[Geofencing]] /
   * [[Gcep]] counterpart (tests assert result equality); Table 2

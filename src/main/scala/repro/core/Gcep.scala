@@ -71,11 +71,9 @@ object Gcep {
     val prepared = events.select(col("train").cast("long").as("key"),
       col("ts_ms").as("tsMs"), col("speed_kmh").as("value"),
       col("lon"), col("lat"))
-    val stops = ThresholdWindow.batch(prepared, col("value") < 1.0, minDurMs)
-    val designated = zones.where(col("kind").isin("station", "workshop"))
-    stops
-      .join(designated,
-        expr("st_in_box(cLon, cLat, xmin, xmax, ymin, ymax)"), "left_anti")
+    ThresholdWindow.batch(prepared, col("value") < 1.0, minDurMs)
+      .where(size(Geofencing.zonesAt(zones, Seq("station", "workshop"),
+        col("cLon"), col("cLat"))) === 0)
       .select(col("key").as("train"), col("startMs"), col("endMs"),
         col("n"), col("cLon"), col("cLat"))
   }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.meos.ZoneIndex
@@ -8,24 +8,15 @@ import repro.sncb.{RailNetwork, TrainData, Zone}
 import repro.stream.Windows
 
 /** Geofencing queries Q1–Q4 (paper §3.1), MEOS-style: zone membership
-  * through the registered `st_in_box` expression, with a global
-  * bounding-box prefilter before the zone join — the pruning MEOS's
-  * STBox data structure buys the paper's integration.
+  * is one stateless lookup column over the in-memory grid index
+  * ([[repro.meos.ZoneIndex.zonesAt]]) — the geofence structure the
+  * paper's integration keeps inside the operator rather than in a join.
   *
   * All functions are pure `DataFrame => DataFrame` transformations and
-  * run unchanged on batch and streaming inputs (except where noted).
+  * run unchanged on batch and streaming inputs.
   * [[repro.core.NebulaMeos.setup]] must have been called on the session.
   */
 object Geofencing {
-
-  /** Prefilter: keep only events inside the bounding box of all zones
-    * in `zones` (collected once; zone tables are small and static).
-    */
-  private[core] def bboxPrefilter(events: DataFrame, zones: DataFrame): DataFrame = {
-    val Row(x0: Double, x1: Double, y0: Double, y1: Double) =
-      zones.agg(min("xmin"), max("xmax"), min("ymin"), max("ymax")).head()
-    events.where(expr(s"st_in_box(lon, lat, $x0, $x1, $y0, $y1)"))
-  }
 
   /** Collect a zone table to its catalogue form (zone tables are small
     * and static — the collected list seeds the grid index).
@@ -35,16 +26,13 @@ object Geofencing {
       .collect().toSeq.map(r => Zone(r.getInt(0), r.getString(1), r.getDouble(2),
         r.getDouble(3), r.getDouble(4), r.getDouble(5), r.getDouble(6)))
 
-  /** Events joined to the zones of one `kind` that contain them, via
-    * the MEOS-style grid index ([[repro.meos.ZoneIndex]]) behind a
-    * bounding-box prefilter. Adds zone_id, kind, lim.
+  /** The zones of `kinds` containing (lon, lat), as the
+    * `array<struct<zone_id, lim>>` of [[repro.meos.ZoneIndex.zonesAt]];
+    * the catalogue is collected once, when the plan is built.
     */
-  private[core] def inZonesOfKind(events: DataFrame, zones: DataFrame,
-                                  kind: String): DataFrame = {
-    val of = zones.where(col("kind") === kind)
-    val idx = ZoneIndex.indexDf(events.sparkSession, zoneSeq(of))
-    ZoneIndex.join(bboxPrefilter(events, of), idx)
-  }
+  private[core] def zonesAt(zones: DataFrame, kinds: Seq[String],
+                            lon: Column = col("lon"), lat: Column = col("lat")): Column =
+    ZoneIndex.zonesAt(zoneSeq(zones.where(col("kind").isin(kinds: _*))), lon, lat)
 
   /** Q1 — Location-Based Alert Filtering: drop non-essential (SPEED)
     * alerts raised inside maintenance zones; annotate the rest with
@@ -52,27 +40,25 @@ object Geofencing {
     *
     * Output: id, train, ts_ms, lon, lat, alert_type, in_maintenance.
     */
-  def alertFiltering(events: DataFrame, zones: DataFrame): DataFrame = {
-    val alerts = events.where(col("alert_type").isNotNull)
-      .select("id", "train", "ts_ms", "lon", "lat", "alert_type")
-    val inMaint = inZonesOfKind(alerts, zones, "maintenance")
-      .select("id", "alert_type").distinct()
-    val dropped = inMaint.where(col("alert_type") === "SPEED").select("id")
-    alerts.join(dropped, Seq("id"), "left_anti")
-      .join(inMaint.select(col("id"), lit(true).as("in_maintenance")), Seq("id"), "left")
-      .withColumn("in_maintenance", coalesce(col("in_maintenance"), lit(false)))
-  }
+  def alertFiltering(events: DataFrame, zones: DataFrame): DataFrame =
+    events.where(col("alert_type").isNotNull)
+      .withColumn("in_maintenance", size(zonesAt(zones, Seq("maintenance"))) > 0)
+      .where(!(col("in_maintenance") && col("alert_type") === "SPEED"))
+      .select("id", "train", "ts_ms", "lon", "lat", "alert_type", "in_maintenance")
 
   /** Q2 — Location-Based Noise Monitoring: per neighbourhood and
     * tumbling window, aggregate outside-noise readings and flag windows
-    * whose average exceeds the neighbourhood's ceiling.
+    * whose average exceeds the neighbourhood's ceiling. Neighbourhoods
+    * may overlap: an event counts in every one containing it.
     *
     * Output: win_start, zone_id, n_events, avg_db, max_db, lim, exceeded.
     */
   def noiseMonitoring(events: DataFrame, zones: DataFrame,
                       windowMs: Long = 60000L): DataFrame = {
-    val inNb = inZonesOfKind(events, zones, "neighbourhood")
-      .select("ts_ms", "zone_id", "noise_db", "lim")
+    val inNb = events
+      .select(col("ts_ms"), col("noise_db"),
+        explode(zonesAt(zones, Seq("neighbourhood"))).as("z"))
+      .select(col("ts_ms"), col("z.zone_id"), col("noise_db"), col("z.lim"))
     Windows.tumbling(inNb, "ts_ms", windowMs, Seq("zone_id"),
         Seq(count(lit(1)).as("n_events"), avg("noise_db").as("avg_db"),
           max("noise_db").as("max_db"), max("lim").as("lim")))
@@ -84,12 +70,11 @@ object Geofencing {
     *
     * Output: id, train, ts_ms, lon, lat, zone_id, speed_kmh, suggested_kmh.
     */
-  def dynamicSpeedLimit(events: DataFrame, zones: DataFrame): DataFrame = {
-    inZonesOfKind(events, zones, "curve")
-      .where(col("speed_kmh") > col("lim"))
+  def dynamicSpeedLimit(events: DataFrame, zones: DataFrame): DataFrame =
+    events.withColumn("z", explode(zonesAt(zones, Seq("curve"))))
+      .where(col("speed_kmh") > col("z.lim"))
       .select(col("id"), col("train"), col("ts_ms"), col("lon"), col("lat"),
-        col("zone_id"), col("speed_kmh"), col("lim").as("suggested_kmh"))
-  }
+        col("z.zone_id"), col("speed_kmh"), col("z.lim").as("suggested_kmh"))
 
   /** Q4 — Weather-Based Speed Zones: join each event to the weather
     * condition of its grid cell for its hour; suggest a condition- and

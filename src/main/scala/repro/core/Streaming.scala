@@ -1,9 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.sncb.{RailNetwork, TrainData, Zone}
+import repro.meos.ZoneIndex
+import repro.sncb.{TrainData, Zone}
 import repro.stream.{ThresholdEvent, ThresholdWindow, Windows}
 
 /** One fused sensor record as fed to the streaming queries (mirrors the
@@ -15,80 +16,14 @@ final case class SensorEvent(id: Long, train: Int, seq: Long, ts_ms: Long,
                              noise_db: Double, passengers: Int,
                              alert_type: Option[String])
 
-/** A weather-cell condition record (static side of Q4). */
-final case class WeatherCell(cell_x: Int, cell_y: Int, hour_ms: Long,
-                             condition: Int, severity: Double)
-
-/** Structured Streaming formulations of Q1–Q8.
-  *
-  * The batch formulations in [[Geofencing]]/[[Gcep]] use multi-step
-  * joins/aggregations that Structured Streaming forbids (stream-stream
-  * anti joins, chained aggregations), so the streaming variants fold
-  * the small static zone tables into literal predicate disjunctions —
-  * exactly how NebulaMEOS pushes geofence predicates into its operator
-  * pipeline on the edge device. Tests assert each variant produces the
-  * same rows as its batch counterpart.
+/** Structured Streaming formulations of the queries whose batch plan
+  * Structured Streaming forbids: Q5 (a second aggregation picks the
+  * nearest workshop) and the threshold windows of Q7 and Q8b (gaps and
+  * islands over a sorted window). Every other query runs its
+  * [[Geofencing]]/[[Gcep]] plan on the stream as-is. Tests assert each
+  * variant produces the same rows as its batch counterpart.
   */
 object Streaming {
-
-  /** Disjunction: position inside any of `zones` (closed rect bounds). */
-  def inAnyZone(zones: Seq[Zone], lon: Column, lat: Column): Column =
-    zones.foldLeft(lit(false)) { (acc, z) =>
-      acc || (lon >= z.xmin && lon <= z.xmax && lat >= z.ymin && lat <= z.ymax)
-    }
-
-  /** Q1 streaming — stateless alert filtering (same rows as
-    * [[Geofencing.alertFiltering]]).
-    */
-  def alertFiltering(events: DataFrame, maintenance: Seq[Zone]): DataFrame =
-    events.where(col("alert_type").isNotNull)
-      .withColumn("in_maintenance", inAnyZone(maintenance, col("lon"), col("lat")))
-      .where(!(col("in_maintenance") && col("alert_type") === "SPEED"))
-      .select("id", "train", "ts_ms", "lon", "lat", "alert_type", "in_maintenance")
-
-  /** Q2 streaming — windowed noise aggregation per neighbourhood; zone
-    * assignment via a literal join-free tagging (first matching zone
-    * wins is not needed: neighbourhoods may overlap, so events are
-    * replicated per matching zone with `explode`).
-    */
-  def noiseMonitoring(events: DataFrame, neighbourhoods: Seq[Zone],
-                      windowMs: Long = 60000L): DataFrame = {
-    val tagged = events.withColumn("zone_id",
-        explode(filter(
-          array(neighbourhoods.map(z => when(
-            col("lon") >= z.xmin && col("lon") <= z.xmax &&
-              col("lat") >= z.ymin && col("lat") <= z.ymax,
-            z.zoneId).otherwise(lit(null))): _*),
-          c => c.isNotNull)))
-      .withColumn("lim",
-        coalesce(neighbourhoods.map(z =>
-          when(col("zone_id") === z.zoneId, z.limit)): _*))
-    Windows.tumbling(tagged, "ts_ms", windowMs, Seq("zone_id"),
-        Seq(count(lit(1)).as("n_events"), avg("noise_db").as("avg_db"),
-          max("noise_db").as("max_db"), max("lim").as("lim")))
-      .withColumn("exceeded", col("avg_db") > col("lim"))
-  }
-
-  /** Q3 streaming — stateless speed-limit check against curve zones. */
-  def dynamicSpeedLimit(events: DataFrame, curves: Seq[Zone]): DataFrame = {
-    val zoneId = coalesce((curves.map(z => when(
-      col("lon") >= z.xmin && col("lon") <= z.xmax &&
-        col("lat") >= z.ymin && col("lat") <= z.ymax &&
-        col("speed_kmh") > z.limit, z.zoneId)) :+ lit(null)): _*)
-    val lim = coalesce((curves.map(z =>
-      when(col("zone_id") === z.zoneId, z.limit)) :+ lit(null)): _*)
-    events.withColumn("zone_id", zoneId)
-      .where(col("zone_id").isNotNull)
-      .withColumn("suggested_kmh", lim)
-      .select("id", "train", "ts_ms", "lon", "lat", "zone_id",
-        "speed_kmh", "suggested_kmh")
-  }
-
-  /** Q4 streaming — stream-static join against the weather table (same
-    * rows as [[Geofencing.weatherSpeedZones]]).
-    */
-  def weatherSpeedZones(events: DataFrame, weather: DataFrame): DataFrame =
-    Geofencing.weatherSpeedZones(events, weather)
 
   /** Q5 streaming — single windowed aggregation; the nearest workshop
     * (only a handful exist) is resolved statelessly with a literal
@@ -120,14 +55,9 @@ object Streaming {
       .drop("best", "c_lon", "c_lat")
   }
 
-  /** Q6 streaming — identical plan to [[Gcep.heavyPassengerLoad]]
-    * (a single windowed aggregation is streaming-legal as-is).
-    */
-  def heavyPassengerLoad(events: DataFrame, windowMs: Long = 600000L): DataFrame =
-    Gcep.heavyPassengerLoad(events, windowMs)
-
   /** Q7 streaming — threshold windows via `flatMapGroupsWithState`,
-    * designated-zone check as a stateless literal disjunction.
+    * then the same stateless designated-zone lookup as
+    * [[Gcep.unscheduledStops]].
     */
   def unscheduledStops(events: Dataset[SensorEvent], designated: Seq[Zone],
                        minDurMs: Long = 60000L)
@@ -137,18 +67,10 @@ object Streaming {
       ThresholdEvent(e.train.toLong, e.ts_ms, e.speed_kmh, e.lon, e.lat))
     ThresholdWindow.streaming(prepared, _ < 1.0, minDurMs)
       .toDF()
-      .where(!inAnyZone(designated, col("cLon"), col("cLat")))
+      .where(size(ZoneIndex.zonesAt(designated, col("cLon"), col("cLat"))) === 0)
       .select(col("key").as("train"), col("startMs"), col("endMs"),
         col("n"), col("cLon"), col("cLat"))
   }
-
-  /** Q8a streaming — identical plan to [[Gcep.brakePatterns]] (explode
-    * + one aggregation is streaming-legal).
-    */
-  def brakePatterns(events: DataFrame,
-                    sizeMs: Long = 600000L, slideMs: Long = 120000L,
-                    k: Long = 3L): DataFrame =
-    Gcep.brakePatterns(events, sizeMs, slideMs, k)
 
   /** Q8b streaming — persistent low pressure via the streaming
     * threshold window.

@@ -20,19 +20,4 @@ object Cep {
         Seq(count(lit(1)).as("n_events"),
             min(tsMsCol).as("first_ms"), max(tsMsCol).as("last_ms")))
       .where(col("n_events") >= k)
-
-  /** Sequence pattern A ~> B within `maxGapMs` on the same key: every
-    * (a, b) pair where b follows a within the gap. `keys` must exist in
-    * both inputs; other columns are prefixed `a_` / `b_`.
-    */
-  def followedBy(dfA: DataFrame, dfB: DataFrame, keys: Seq[String],
-                 tsMsCol: String, maxGapMs: Long): DataFrame = {
-    val a = dfA.columns.foldLeft(dfA)((d, c) =>
-      if (keys.contains(c)) d else d.withColumnRenamed(c, s"a_$c"))
-    val b = dfB.columns.foldLeft(dfB)((d, c) =>
-      if (keys.contains(c)) d else d.withColumnRenamed(c, s"b_$c"))
-    a.join(b, keys)
-      .where(col(s"b_$tsMsCol") >= col(s"a_$tsMsCol") &&
-             col(s"b_$tsMsCol") <= col(s"a_$tsMsCol") + maxGapMs)
-  }
 }

@@ -7,10 +7,10 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM (4g when unset). Broadcast joins are disabled so
+  * the joins that remain (Q4's weather join, Q5's workshop cross join,
+  * the naive baselines' zone cross joins) take the shuffle path at
+  * every scale factor.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -159,21 +159,4 @@ class GeofencingSpec extends SparkSpec {
     val bySnow = q4.where(col("condition") === 2)
     assert(bySnow.where(col("suggested_kmh") > 60.0).count() == 0)
   }
-
-  // ------------------------------------------------- bbox prefilter --
-
-  test("bbox prefilter never removes an event inside some zone") {
-    val curves = zones.where(col("kind") === "curve")
-    val pre = Geofencing.bboxPrefilter(ev, curves)
-    val direct = ev.join(curves, expr("st_in_box(lon, lat, xmin, xmax, ymin, ymax)"))
-      .select("id").distinct()
-    val lost = direct.join(pre.select("id"), Seq("id"), "left_anti").count()
-    assert(lost == 0)
-  }
-
-  test("bbox prefilter actually prunes at SF=0.002") {
-    val mz = zones.where(col("kind") === "maintenance")
-    val kept = Geofencing.bboxPrefilter(ev, mz).count()
-    assert(kept < ev.count(), "prefilter kept everything — no pruning")
-  }
 }

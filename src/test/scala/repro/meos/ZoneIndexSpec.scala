@@ -2,7 +2,7 @@ package repro.meos
 
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestData}
+import repro.{RowCompare, SparkSpec, TestData}
 import repro.core.NebulaMeos
 import repro.sncb.RailNetwork
 
@@ -72,6 +72,28 @@ class ZoneIndexSpec extends SparkSpec {
       .select("id", "zone_id")
     assert(viaIndex.except(direct).count() == 0)
     assert(direct.except(viaIndex).count() == 0)
+  }
+
+  test("zonesAt equals the direct containment join, edges, corners, off-frame and NaN included") {
+    import spark.implicits._
+    val zones = RailNetwork.all ++ RailNetwork.syntheticZones(200)
+    val onEdges = zones.flatMap(z => Seq((z.xmin, z.ymin), (z.xmax, z.ymax),
+      (z.xmin, z.ymax), (z.xmax, z.ymin), (z.xmin, z.cLat), (z.cLon, z.ymax)))
+    val odd = Seq((3.5, 50.0), (5.5, 51.5), (-180.0, -90.0), (1e12, -1e12),
+      (Double.PositiveInfinity, 50.8), (RailNetwork.LonMin, RailNetwork.LatMin),
+      (RailNetwork.LonMax, RailNetwork.LatMax), (Double.NaN, 50.8), (4.45, Double.NaN),
+      (Double.NaN, Double.NaN))
+    val pts = TestData.events002.select("id", "lon", "lat")
+      .union((onEdges ++ odd).zipWithIndex
+        .map { case ((lon, lat), i) => (1000000000L + i, lon, lat) }.toDF("id", "lon", "lat"))
+    val viaLookup = pts
+      .select(col("id"), explode(ZoneIndex.zonesAt(zones, col("lon"), col("lat"))).as("z"))
+      .select(col("id"), col("z.zone_id"), col("z.lim"))
+    val direct = pts.crossJoin(RailNetwork.toDf(spark, zones))
+      .where(expr("st_in_box(lon, lat, xmin, xmax, ymin, ymax)"))
+      .select("id", "zone_id", "lim")
+    assert(direct.where(col("id") >= 1000000000L).count() >= onEdges.size)
+    RowCompare.assertSameRows(viaLookup, direct)
   }
 
   test("syntheticZones is deterministic and well-formed") {
