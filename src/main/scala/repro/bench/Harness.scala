@@ -14,8 +14,9 @@ import repro.stream.StreamRunner
   *
   * Throughput is measured two ways:
   *   - streaming: the SF-scaled stream is replayed through a
-  *     MemoryStream into the query's Structured Streaming formulation;
-  *     events/s = total events / wall-clock to fully drain.
+  *     MemoryStream into the query's Structured Streaming formulation,
+  *     one micro-batch per chunk; events/s = total events / wall-clock
+  *     to fully drain.
   *   - batch: wall-clock of the batch plan over the same events (the
   *     upper bound the paper's "ingestion rate" saturates to).
   * MB/s converts events/s with the per-query record sizes of

@@ -78,7 +78,8 @@ object Geofencing {
 
   /** Q4 — Weather-Based Speed Zones: join each event to the weather
     * condition of its grid cell for its hour; suggest a condition- and
-    * severity-dependent limit and emit events exceeding it.
+    * severity-dependent limit and emit events exceeding it. The weather
+    * table is small and is broadcast, so events are never shuffled.
     *
     * Output: id, train, ts_ms, condition, severity, speed_kmh, suggested_kmh.
     */
@@ -95,7 +96,7 @@ object Geofencing {
       .when(col("condition") === 1, 100.0)
       .when(col("condition") === 3, 80.0)
       .otherwise(60.0)
-    ev.join(weather, Seq("cell_x", "cell_y", "hour_ms"))
+    ev.join(broadcast(weather), Seq("cell_x", "cell_y", "hour_ms"))
       .withColumn("suggested_kmh", base * (lit(1.0) - col("severity") * 0.3))
       .where(col("speed_kmh") > col("suggested_kmh"))
       .select("id", "train", "ts_ms", "condition", "severity",

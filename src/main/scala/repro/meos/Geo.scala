@@ -60,7 +60,13 @@ object Geo {
     *               zone polygons in this repo are sized so boundary
     *               events are irrelevant.
     */
-  def pointInPolygon(lon: Double, lat: Double, coords: IndexedSeq[Double]): Boolean = {
+  def pointInPolygon(lon: Double, lat: Double, coords: IndexedSeq[Double]): Boolean =
+    pointInPolygon(lon, lat, coords.toArray)
+
+  /** [[pointInPolygon]] over a primitive ring — the form the compiled
+    * `st_point_in_poly` calls, with no boxing per vertex.
+    */
+  def pointInPolygon(lon: Double, lat: Double, coords: Array[Double]): Boolean = {
     require(coords.length >= 6 && coords.length % 2 == 0,
       s"polygon ring needs >=3 vertices as flat [x,y] pairs, got ${coords.length} values")
     val n = coords.length / 2

@@ -9,9 +9,11 @@ import repro.meos.expressions._
   * NebulaMEOS integration layer.
   *
   * Scalar predicates (`st_distance`, `ed_within`, `st_in_box`,
-  * `st_in_stbox`, `st_point_in_poly`) are Catalyst expressions
-  * registered through the session `FunctionRegistry` — the analogue of
-  * NebulaStream's dynamic operator registration. Sequence-valued MEOS
+  * `st_in_stbox`, `st_point_in_poly`) and the geofence lookup
+  * `st_zones` are Catalyst expressions registered through the session
+  * `FunctionRegistry` — the analogue of NebulaStream's dynamic operator
+  * registration. [[repro.meos.ZoneIndex.zonesAt]] calls `st_zones` by
+  * name, so it needs this registration on the session. Sequence-valued MEOS
   * functions (`tpoint_at_stbox`, `tpoint_length`, ...) operate on
   * trajectory values encoded as `array<array<double>>` with inner
   * triples `[epochMs, lon, lat]`, and are registered as Scala UDFs —
@@ -42,6 +44,7 @@ object MeosFunctions {
     reg.createOrReplaceTempFunction("st_in_box", StInBox(_), "scala_udf")
     reg.createOrReplaceTempFunction("st_in_stbox", StInStbox(_), "scala_udf")
     reg.createOrReplaceTempFunction("st_point_in_poly", StPointInPoly(_), "scala_udf")
+    reg.createOrReplaceTempFunction("st_zones", StZones(_), "scala_udf")
 
     spark.udf.register("tpoint_length",
       (seq: Seq[Seq[Double]]) => toTSeq(seq).map(_.lengthMeters).getOrElse(0.0))

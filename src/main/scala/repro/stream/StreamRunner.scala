@@ -9,7 +9,8 @@ import org.apache.spark.sql.streaming.OutputMode
   *
   * Events are fed through a `MemoryStream` in micro-batch chunks; the
   * query writes to a memory sink. [[measure]] reports end-to-end
-  * wall-clock throughput (events/s) for the throughput table.
+  * wall-clock throughput (events/s) for the throughput table, one
+  * micro-batch per chunk.
   */
 object StreamRunner {
 
@@ -30,13 +31,17 @@ object StreamRunner {
     } finally query.stop()
   }
 
-  /** Result of one streaming throughput measurement. */
-  final case class Measurement(events: Long, seconds: Double, outRows: Long) {
+  /** Result of one streaming throughput measurement: the input rows
+    * the engine counted and the micro-batches that had input.
+    */
+  final case class Measurement(events: Long, seconds: Double, outRows: Long,
+                               triggers: Int) {
     def eventsPerSec: Double = events / seconds
   }
 
-  /** Feed `chunks` as micro-batches and measure wall-clock time from
-    * first feed to full drain of the sink.
+  /** Feed `chunks` one micro-batch each — a chunk, then a drain, as in
+    * [[runCollect]] — and measure wall-clock time from first feed to
+    * full drain of the sink.
     */
   def measure[T: Encoder](spark: SparkSession, chunks: Seq[Seq[T]],
                           q: Dataset[T] => DataFrame,
@@ -47,12 +52,17 @@ object StreamRunner {
     val query = q(source.toDS())
       .writeStream.format("memory").queryName(name).outputMode(outputMode).start()
     try {
-      val n = chunks.map(_.size.toLong).sum
+      // batch id -> input rows; read after every drain, as the engine
+      // keeps only its most recent progress reports
+      val inputRows = scala.collection.mutable.Map.empty[Long, Long]
       val t0 = System.nanoTime()
-      chunks.foreach(source.addData(_))
-      query.processAllAvailable()
+      chunks.foreach { c =>
+        source.addData(c)
+        query.processAllAvailable()
+        query.recentProgress.foreach(p => if (p.numInputRows > 0) inputRows(p.batchId) = p.numInputRows)
+      }
       val secs = (System.nanoTime() - t0) / 1e9
-      Measurement(n, secs, spark.table(name).count())
+      Measurement(inputRows.values.sum, secs, spark.table(name).count(), inputRows.size)
     } finally query.stop()
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, OracleSql, RowCompare, SparkSpec, TestData}
@@ -153,6 +154,14 @@ class GeofencingSpec extends SparkSpec {
   test("Q4 flags violations under degraded weather only when speed exceeds the cap") {
     assert(q4.count() > 0, "no weather violations at SF=0.002")
     assert(q4.where(col("speed_kmh") <= col("suggested_kmh")).count() == 0)
+  }
+
+  test("Q4 broadcasts the weather table with automatic broadcast off") {
+    assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1")
+    val joins = executedNodes(Geofencing.weatherSpeedZones(ev, weather))
+      .collect { case j: BaseJoinExec => j }
+    assert(joins.exists(_.isInstanceOf[BroadcastHashJoinExec]), joins)
+    assert(!joins.exists(_.isInstanceOf[SortMergeJoinExec]), joins)
   }
 
   test("Q4 snow caps are the strictest") {

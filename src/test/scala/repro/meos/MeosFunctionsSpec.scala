@@ -78,6 +78,28 @@ class MeosFunctionsSpec extends SparkSpec {
     assert(r.getBoolean(0) && !r.getBoolean(1) && r.getBoolean(2))
   }
 
+  test("st_point_in_poly: generated code agrees with interpreted eval and the ray caster") {
+    import spark.implicits._
+    val rings = Seq(
+      Seq(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0),
+      Seq(0.0, 0.0, 2.0, 0.0, 1.0, 2.0),
+      Seq(0.0, 0.0, 2.0, 0.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 0.0, 2.0))
+    val pts = for (i <- 0 to 12; j <- 0 to 12) yield (-0.25 + i * 0.21, -0.25 + j * 0.21)
+    val input = (for ((ring, r) <- rings.zipWithIndex; ((x, y), p) <- pts.zipWithIndex)
+        yield (r * 1000 + p, Option(x), y, ring)).toDF("id", "lon", "lat", "ring")
+      .union(Seq((-1, Option.empty[Double], 0.5, rings.head)).toDF("id", "lon", "lat", "ring"))
+      .repartition(2) // else the optimizer evaluates the local rows itself, interpreted
+    def run(mode: String) = withCodegen(mode) {
+      input.selectExpr("id", "st_point_in_poly(lon, lat, ring) AS inside")
+        .collect().map(r => r.getInt(0) -> Option(r.get(1))).toMap
+    }
+    val expected = (for ((ring, r) <- rings.zipWithIndex; ((x, y), p) <- pts.zipWithIndex)
+      yield (r * 1000 + p) -> Option(Geo.pointInPolygon(x, y, ring.toArray))).toMap + (-1 -> None)
+    assert(expected.values.count(_.contains(true)) > 0)
+    assert(run("CODEGEN_ONLY") == expected)
+    assert(run("NO_CODEGEN") == expected)
+  }
+
   test("expressions propagate nulls") {
     val r = spark.sql(
       """SELECT st_distance(CAST(NULL AS DOUBLE), 50.0, 4.0, 50.0) AS a,
