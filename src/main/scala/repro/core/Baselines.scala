@@ -3,13 +3,13 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.stream.{ThresholdWindow, Windows}
+import repro.stream.Windows
 
 /** Naive baselines: the shape a user of a generic streaming engine
   * (Kafka/Flink per the paper's introduction) writes by hand without a
   * spatiotemporal library — every event tested against *every* zone by
   * generic point-in-polygon, no spatial index, no predicate pushdown
-  * before window replication.
+  * before window replication, threshold windows as gaps and islands.
   *
   * Each baseline is semantically identical to its [[Geofencing]] /
   * [[Gcep]] counterpart (tests assert result equality); Table 2
@@ -65,16 +65,32 @@ object Baselines {
       .select(col("id"), col("train"), col("ts_ms"), col("lon"), col("lat"),
         col("zone_id"), col("speed_kmh"), col("lim").as("suggested_kmh"))
 
+  /** Threshold windows by gaps and islands — same output as
+    * [[repro.stream.ThresholdWindow.batch]], written with the SQL a
+    * generic engine offers: two window passes (`lag`, then a running
+    * `sum`) number the runs of `pred`, and an aggregation closes them.
+    */
+  def thresholdWindows(df: DataFrame, pred: Column, minDurMs: Long): DataFrame =
+    Windows.islands(df, Seq("key"), "tsMs", pred)
+      .groupBy(col("key"), col("island_id"))
+      .agg(
+        min("tsMs").as("startMs"), max("tsMs").as("endMs"),
+        count(lit(1)).as("n"), avg("value").as("avgValue"),
+        avg("lon").as("cLon"), avg("lat").as("cLat"))
+      .where(col("endMs") - col("startMs") >= minDurMs)
+      .drop("island_id")
+
   /** Q7 baseline — same output as [[Gcep.unscheduledStops]]; stop
-    * windows are identical, but designated-zone membership of each stop
-    * centroid is decided by polygon tests against all zones.
+    * windows come from gaps and islands ([[thresholdWindows]]), and
+    * designated-zone membership of each stop centroid is decided by
+    * polygon tests against all zones.
     */
   def unscheduledStops(events: DataFrame, zones: DataFrame,
                        minDurMs: Long = 60000L): DataFrame = {
     val prepared = events.select(col("train").cast("long").as("key"),
       col("ts_ms").as("tsMs"), col("speed_kmh").as("value"),
       col("lon"), col("lat"))
-    val stops = ThresholdWindow.batch(prepared, col("value") < 1.0, minDurMs)
+    val stops = thresholdWindows(prepared, col("value") < 1.0, minDurMs)
     val designatedHits = stops
       .crossJoin(zones.withColumn("ring", ringCol))
       .where(expr("st_point_in_poly(cLon, cLat, ring)") &&

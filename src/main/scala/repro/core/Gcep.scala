@@ -12,10 +12,12 @@ object Gcep {
   /** Q5 — Battery Monitoring: per train and tumbling window, compare
     * battery voltage against the predefined charge/discharge curve;
     * alert on average deviation or overheating and attach the nearest
-    * workshop (MEOS `st_distance` + `min_by`).
+    * workshop: the least MEOS `st_distance` from the window's centroid
+    * over the workshop catalogue, a stateless scalar per alert (null
+    * when there is no workshop).
     *
-    * Output: win_start, train, n_events, avg_dev, max_temp, alert_kind,
-    *         workshop_id, workshop_dist_m.
+    * Output: win_start, train, n_events, avg_dev, max_dev, max_temp,
+    *         alert_kind, workshop_id, workshop_dist_m.
     */
   def batteryMonitoring(events: DataFrame, zones: DataFrame,
                         windowMs: Long = 300000L,
@@ -33,16 +35,16 @@ object Gcep {
         when(col("max_dev") > devThreshold && col("max_temp") > tempThreshold, "BOTH")
           .when(col("max_dev") > devThreshold, "BATTERY")
           .otherwise("OVERHEAT"))
-    val ws = zones.where(col("kind") === "workshop")
-      .select(col("zone_id").as("w_id"),
-        ((col("xmin") + col("xmax")) / 2).as("w_lon"),
-        ((col("ymin") + col("ymax")) / 2).as("w_lat"))
-    alerts.crossJoin(ws)
-      .withColumn("w_dist", expr("st_distance(c_lon, c_lat, w_lon, w_lat)"))
-      .groupBy("win_start", "train", "n_events", "avg_dev", "max_dev",
-        "max_temp", "alert_kind")
-      .agg(expr("min_by(w_id, w_dist)").as("workshop_id"),
-        min("w_dist").as("workshop_dist_m"))
+    val workshops = Geofencing.zoneSeq(zones.where(col("kind") === "workshop"))
+      .map(z => (z.cLon, z.cLat, z.zoneId))
+    val nearest = array_min(transform(typedLit(workshops), w => struct(
+      call_function("st_distance", col("c_lon"), col("c_lat"),
+        w.getField("_1"), w.getField("_2")).as("dist"),
+      w.getField("_3").as("id"))))
+    alerts.withColumn("nearest", nearest)
+      .select(col("win_start"), col("train"), col("n_events"), col("avg_dev"),
+        col("max_dev"), col("max_temp"), col("alert_kind"),
+        col("nearest.id").as("workshop_id"), col("nearest.dist").as("workshop_dist_m"))
   }
 
   /** Q6 — Heavy Passenger Load: per train and tumbling window, flag

@@ -16,10 +16,11 @@ final case class SensorEvent(id: Long, train: Int, seq: Long, ts_ms: Long,
                              noise_db: Double, passengers: Int,
                              alert_type: Option[String])
 
-/** Structured Streaming formulations of the queries whose batch plan
-  * Structured Streaming forbids: Q5 (a second aggregation picks the
-  * nearest workshop) and the threshold windows of Q7 and Q8b (gaps and
-  * islands over a sorted window). Every other query runs its
+/** Structured Streaming formulations of Q5 and of the threshold
+  * windows of Q7 and Q8b. The batch threshold window (a shuffle, a sort
+  * and a `mapPartitions` scan) does not run on a stream; Q5 is written
+  * independently of [[Gcep.batteryMonitoring]] so that each serves as
+  * the other's reference. Every other query runs its
   * [[Geofencing]]/[[Gcep]] plan on the stream as-is. Tests assert each
   * variant produces the same rows as its batch counterpart.
   */
@@ -27,7 +28,8 @@ object Streaming {
 
   /** Q5 streaming — single windowed aggregation; the nearest workshop
     * (only a handful exist) is resolved statelessly with a literal
-    * `least`-fold instead of a second aggregation.
+    * `least`-fold instead of a second aggregation. With no workshop,
+    * `workshop_id` and `workshop_dist_m` are null.
     */
   def batteryMonitoring(events: DataFrame, workshops: Seq[Zone],
                         windowMs: Long = 300000L,
@@ -48,8 +50,13 @@ object Streaming {
     val dists = workshops.map(z =>
       struct(expr(s"st_distance(c_lon, c_lat, ${z.cLon}, ${z.cLat})").as("d"),
         lit(z.zoneId).as("w")))
+    val best = dists match {
+      case Seq() => lit(null).cast("struct<d:double,w:int>")
+      case Seq(one) => one
+      case _ => least(dists: _*)
+    }
     alerts
-      .withColumn("best", least(dists: _*))
+      .withColumn("best", best)
       .withColumn("workshop_id", col("best.w"))
       .withColumn("workshop_dist_m", col("best.d"))
       .drop("best", "c_lon", "c_lat")

@@ -1,6 +1,6 @@
 package repro.stream
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 
@@ -23,11 +23,35 @@ final case class ThresholdWin(key: Long, startMs: Long, endMs: Long,
 private final case class ThresholdState(startMs: Long, endMs: Long, n: Long,
                                         sumValue: Double, sumLon: Double, sumLat: Double)
 
+/** An event of the batch scan with its predicate already evaluated. */
+private final case class FlaggedEvent(key: Long, tsMs: Long, hit: Boolean,
+                                      value: Double, lon: Double, lat: Double)
+
+/** The window the batch scan is extending. */
+private final class OpenWindow(val key: Long, val startMs: Long) {
+  var endMs = startMs
+  var n = 0L
+  var sumValue, sumLon, sumLat = 0.0
+
+  def add(e: FlaggedEvent): Unit = {
+    endMs = e.tsMs; n += 1
+    sumValue += e.value; sumLon += e.lon; sumLat += e.lat
+  }
+
+  def close(minDurMs: Long): Option[ThresholdWin] =
+    if (endMs - startMs >= minDurMs)
+      Some(ThresholdWin(key, startMs, endMs, n, sumValue / n, sumLon / n, sumLat / n))
+    else None
+}
+
 /** NebulaStream threshold windows: open while `pred(value)` holds,
   * close when it stops holding (or the stream ends for batch input).
   *
-  * Two implementations with identical semantics on ordered input:
-  *   - [[batch]]: gaps-and-islands over a sorted DataFrame;
+  * Two implementations with identical semantics on ordered input, both
+  * folding each event once, in event-time order, like NebulaStream's
+  * threshold window operator:
+  *   - [[batch]]: one sorted scan per key (`mapPartitions` after a
+  *     shuffle by key and a sort by event time);
   *   - [[streaming]]: `flatMapGroupsWithState` — the Structured
   *     Streaming extension point for custom window semantics, mirroring
   *     the paper's extension of NebulaStream's window operands.
@@ -35,18 +59,40 @@ private final case class ThresholdState(startMs: Long, endMs: Long, n: Long,
 object ThresholdWindow {
 
   /** Batch threshold windows over columns (`key`, `tsMs`, `value`,
-    * `lon`, `lat`); returns one row per window with duration >=
-    * `minDurMs`.
+    * `lon`, `lat`, none of them null); returns one row per window with
+    * duration >= `minDurMs`. A null predicate counts as false, and a
+    * window still open at the end of input is emitted.
     */
-  def batch(df: DataFrame, pred: org.apache.spark.sql.Column, minDurMs: Long): DataFrame = {
-    val isl = Windows.islands(df, Seq("key"), "tsMs", pred)
-    isl.groupBy(col("key"), col("island_id"))
-      .agg(
-        min("tsMs").as("startMs"), max("tsMs").as("endMs"),
-        count(lit(1)).as("n"), avg("value").as("avgValue"),
-        avg("lon").as("cLon"), avg("lat").as("cLat"))
-      .where(col("endMs") - col("startMs") >= minDurMs)
-      .drop("island_id")
+  def batch(df: DataFrame, pred: Column, minDurMs: Long): DataFrame = {
+    val spark = df.sparkSession
+    import spark.implicits._
+    df.select(col("key"), col("tsMs"), coalesce(pred, lit(false)).as("hit"),
+        col("value"), col("lon"), col("lat"))
+      .repartition(col("key"))
+      .sortWithinPartitions("key", "tsMs")
+      .as[FlaggedEvent]
+      .mapPartitions(scan(_, minDurMs))
+      .toDF()
+  }
+
+  /** Fold events sorted by (key, tsMs): a hit opens or extends the
+    * key's window, anything else (a miss or a new key) closes it.
+    */
+  private def scan(events: Iterator[FlaggedEvent], minDurMs: Long): Iterator[ThresholdWin] = {
+    var open: OpenWindow = null
+    def close(): Option[ThresholdWin] = {
+      val done = Option(open).flatMap(_.close(minDurMs))
+      open = null
+      done
+    }
+    events.flatMap { e =>
+      if (e.hit && open != null && open.key == e.key) { open.add(e); None }
+      else {
+        val done = close()
+        if (e.hit) { open = new OpenWindow(e.key, e.tsMs); open.add(e) }
+        done
+      }
+    } ++ close()
   }
 
   /** Streaming threshold windows via `flatMapGroupsWithState`.

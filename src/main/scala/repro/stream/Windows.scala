@@ -11,8 +11,8 @@ import org.apache.spark.sql.functions._
   * windows: aligned to the epoch, size + slide). Threshold windows —
   * NebulaStream's predicate-delimited windows, which open while a
   * predicate holds and close when it stops holding — have no Catalyst
-  * primitive; [[ThresholdWindow]] provides a batch (gaps-and-islands)
-  * and a streaming (`flatMapGroupsWithState`) implementation.
+  * primitive; [[ThresholdWindow]] provides a batch (one sorted scan per
+  * key) and a streaming (`flatMapGroupsWithState`) implementation.
   *
   * All helpers key windows on epoch-millisecond `LongType` columns so
   * outputs stay oracle-comparable (DuckDB reproduces the assignment
@@ -60,7 +60,10 @@ object Windows {
   /** Gaps-and-islands annotation: for rows ordered by `tsMsCol` within
     * each key, assign an `island_id` that increments whenever `pred`
     * changes value, then keep only rows where `pred` holds. Each
-    * surviving island is one threshold window.
+    * surviving island is one threshold window. This is how a generic
+    * SQL engine writes threshold windows: the naive baseline
+    * ([[repro.core.Baselines.thresholdWindows]]) uses it, and the DuckDB
+    * oracle spells out the same in SQL.
     */
   def islands(df: DataFrame, keys: Seq[String], tsMsCol: String, pred: Column): DataFrame = {
     val w = Window.partitionBy(keys.map(col): _*).orderBy(col(tsMsCol))

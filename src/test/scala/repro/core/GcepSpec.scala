@@ -1,10 +1,13 @@
 package repro.core
 
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.joins.{BroadcastNestedLoopJoinExec, CartesianProductExec}
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, OracleSql, RowCompare, SparkSpec, TestData}
 import repro.meos.Geo
-import repro.sncb.{RailNetwork, TrainData}
+import repro.sncb.{RailNetwork, TrainData, Zone}
 
 /** Q5–Q8 against the DuckDB oracle and the naive baselines. */
 class GcepSpec extends SparkSpec {
@@ -70,6 +73,28 @@ class GcepSpec extends SparkSpec {
       val d = r.getAs[Double]("workshop_dist_m")
       assert(d >= 0.0 && d < 200000.0, s"implausible workshop distance $d")
     }
+  }
+
+  test("Q5 keeps every alert with 0, 1 or 3 workshops, batch and streaming alike") {
+    val alerts = q5.count()
+    for (ws <- Seq(Seq.empty[Zone], RailNetwork.workshops.take(1), RailNetwork.workshops)) {
+      val z = zones.where(col("kind") =!= "workshop" || col("zone_id").isin(ws.map(_.zoneId): _*))
+      val batch = Gcep.batteryMonitoring(ev, z)
+      RowCompare.assertSameRows(batch, Streaming.batteryMonitoring(ev, ws))
+      assert(batch.count() == alerts)
+      val ids = batch.select("workshop_id", "workshop_dist_m").collect()
+        .map(r => (Option(r.get(0)), Option(r.get(1))))
+      if (ws.isEmpty) assert(ids.forall(_ == (None, None)), ids.toSeq)
+      else assert(ids.forall { case (id, d) =>
+        id.exists(i => ws.exists(_.zoneId == i)) && d.isDefined }, ids.toSeq)
+    }
+  }
+
+  test("Q5 picks the nearest workshop without a join: one aggregation exchange") {
+    val nodes = executedNodes(Gcep.batteryMonitoring(ev, zones))
+    assert(!nodes.exists(n => n.isInstanceOf[CartesianProductExec] ||
+      n.isInstanceOf[BroadcastNestedLoopJoinExec]), nodes)
+    assert(nodes.count(_.isInstanceOf[ShuffleExchangeExec]) == 1, nodes)
   }
 
   // ---------------------------------------------------------- Q6 ----
@@ -218,6 +243,14 @@ class GcepSpec extends SparkSpec {
          |FROM isl WHERE brake_bar < 4.0 GROUP BY train, island
          |HAVING MAX(ts_ms) - MIN(ts_ms) >= 240000""".stripMargin,
       "events" -> ev)
+  }
+
+  test("Q7 and Q8b fold threshold windows in one shuffle, no window operator") {
+    for (q <- Seq(Gcep.unscheduledStops(ev, zones), Gcep.persistentLowPressure(ev))) {
+      val nodes = executedNodes(q)
+      assert(!nodes.exists(_.isInstanceOf[WindowExec]), nodes)
+      assert(nodes.count(_.isInstanceOf[ShuffleExchangeExec]) == 1, nodes)
+    }
   }
 
   test("Q8b finds the planted persistent-low episodes") {

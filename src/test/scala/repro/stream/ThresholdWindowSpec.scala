@@ -1,9 +1,12 @@
 package repro.stream
 
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.OutputMode
 
-import repro.SparkSpec
+import repro.{RowCompare, SparkSpec}
+import repro.core.Baselines
 
 class ThresholdWindowSpec extends SparkSpec {
 
@@ -47,6 +50,50 @@ class ThresholdWindowSpec extends SparkSpec {
       .toDF("key", "tsMs", "value", "lon", "lat")
     val out = ThresholdWindow.batch(df, col("value") < 1.0, 0L).collect()
     assert(out.length == 1 && out.head.getLong(2) == 4000L)
+  }
+
+  test("batch equals the gaps-and-islands baseline on shuffled input with null predicates") {
+    val rnd = new scala.util.Random(11)
+    // key 0: a window of exactly 3 s, then one of 2 s; key 1: a single
+    // event, then a window open at the end of input; keys 2..39: runs of
+    // true / false / null predicate values at irregular times, each key
+    // ending in an open window, so the last key of every partition does.
+    val planted = Seq(
+      (0L, Seq(Some(true), Some(true), Some(true), Some(true), Some(false),
+        Some(true), Some(true), Some(true), None)),
+      (1L, Seq(Some(false), Some(true), Some(false), Some(true), Some(true))))
+    val random = (2L until 40L).map(k => k -> (Seq.fill(59)(rnd.nextInt(7) match {
+      case 0 | 1 | 2 => Some(true)
+      case 3 | 4 => Some(false)
+      case _ => None
+    }) :+ Some(true)))
+    val rows = (planted ++ random).flatMap { case (k, ps) =>
+      val ts = if (k < 2) ps.indices.map(_ * 1000L)
+               else ps.indices.scanLeft(0L)((t, _) => t + 500L + rnd.nextInt(2500)).tail
+      ps.zip(ts).map { case (p, t) =>
+        (k, t, p, rnd.nextDouble() * 10, 4.0 + rnd.nextDouble(), 50.5 + rnd.nextDouble())
+      }
+    }
+    val df = rnd.shuffle(rows).toDF("key", "tsMs", "p", "value", "lon", "lat")
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "8")
+    try {
+      for (minDur <- Seq(0L, 3000L)) {
+        val got = ThresholdWindow.batch(df, col("p"), minDur)
+        RowCompare.assertSameRows(got, Baselines.thresholdWindows(df, col("p"), minDur))
+        val wins = got.as[ThresholdWin].collect()
+        assert(wins.exists(w => w.key == 0L && w.startMs == 0L && w.endMs == 3000L))
+        assert(wins.exists(w => w.key == 1L && w.startMs == 3000L && w.endMs == 4000L) == (minDur == 0L))
+        assert(wins.exists(w => w.key == 1L && w.n == 1L) == (minDur == 0L))
+        assert(wins.forall(w => w.endMs - w.startMs >= minDur))
+      }
+    } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+  }
+
+  test("batch runs as one shuffle and one sorted scan, no window operator") {
+    val nodes = executedNodes(ThresholdWindow.batch(sample, col("value") < 1.0, 0L))
+    assert(!nodes.exists(_.isInstanceOf[WindowExec]), nodes)
+    assert(nodes.count(_.isInstanceOf[ShuffleExchangeExec]) == 1, nodes)
   }
 
   test("streaming matches batch on the same (closed) input") {
