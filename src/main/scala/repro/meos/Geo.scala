@@ -32,6 +32,17 @@ object Geo {
   def dWithin(lon1: Double, lat1: Double, lon2: Double, lat2: Double, d: Double): Boolean =
     dist2Meters(lon1, lat1, lon2, lat2) <= d * d
 
+  /** True iff (lon, lat) lies in the closed box [xmin, xmax] x [ymin, ymax]. */
+  def inBox(lon: Double, lat: Double,
+            xmin: Double, xmax: Double, ymin: Double, ymax: Double): Boolean =
+    lon >= xmin && lon <= xmax && lat >= ymin && lat <= ymax
+
+  /** [[inBox]] plus the closed time interval [tmin, tmax] for `t`. */
+  def inStbox(lon: Double, lat: Double, t: Double,
+              xmin: Double, xmax: Double, ymin: Double, ymax: Double,
+              tmin: Double, tmax: Double): Boolean =
+    inBox(lon, lat, xmin, xmax, ymin, ymax) && t >= tmin && t <= tmax
+
   /** Distance in meters from point p to the segment (a, b).
     *
     * Projection is done in meter space so the anisotropy of degrees
@@ -63,7 +74,7 @@ object Geo {
   def pointInPolygon(lon: Double, lat: Double, coords: IndexedSeq[Double]): Boolean =
     pointInPolygon(lon, lat, coords.toArray)
 
-  /** [[pointInPolygon]] over a primitive ring — the form the compiled
+  /** [[pointInPolygon]] over a primitive ring — the form
     * `st_point_in_poly` calls, with no boxing per vertex.
     */
   def pointInPolygon(lon: Double, lat: Double, coords: Array[Double]): Boolean = {
@@ -85,25 +96,5 @@ object Geo {
       i += 1
     }
     inside
-  }
-
-  /** Distance in meters from a point to a polygon: 0 when inside, else
-    * the minimum distance to any edge.
-    */
-  def pointPolygonDistMeters(lon: Double, lat: Double, coords: IndexedSeq[Double]): Double = {
-    if (pointInPolygon(lon, lat, coords)) 0.0
-    else {
-      val n = coords.length / 2
-      var best = Double.MaxValue
-      var i = 0
-      while (i < n) {
-        val j = (i + 1) % n
-        val d = pointSegmentDistMeters(lon, lat,
-          coords(2 * i), coords(2 * i + 1), coords(2 * j), coords(2 * j + 1))
-        if (d < best) best = d
-        i += 1
-      }
-      best
-    }
   }
 }

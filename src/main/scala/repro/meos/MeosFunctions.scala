@@ -12,8 +12,10 @@ import repro.meos.expressions._
   * `st_in_stbox`, `st_point_in_poly`) and the geofence lookup
   * `st_zones` are Catalyst expressions registered through the session
   * `FunctionRegistry` — the analogue of NebulaStream's dynamic operator
-  * registration. [[repro.meos.ZoneIndex.zonesAt]] calls `st_zones` by
-  * name, so it needs this registration on the session. Sequence-valued MEOS
+  * registration. The scalars compile to calls of their [[Geo]]
+  * functions, `st_zones` to its own grid lookup.
+  * [[repro.meos.ZoneIndex.zonesAt]] calls `st_zones` by name, so it
+  * needs this registration on the session. Sequence-valued MEOS
   * functions (`tpoint_at_stbox`, `tpoint_length`, ...) operate on
   * trajectory values encoded as `array<array<double>>` with inner
   * triples `[epochMs, lon, lat]`, and are registered as Scala UDFs —

@@ -2,9 +2,10 @@ package repro.meos.expressions
 
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.analysis.TypeCheckResult
-import org.apache.spark.sql.catalyst.expressions.{Expression, ImplicitCastInputTypes, Literal}
+import org.apache.spark.sql.catalyst.expressions._
 import org.apache.spark.sql.catalyst.expressions.codegen._
 import org.apache.spark.sql.catalyst.expressions.codegen.Block._
+import org.apache.spark.sql.catalyst.expressions.objects.{Invoke, StaticInvoke}
 import org.apache.spark.sql.catalyst.util.ArrayData
 import org.apache.spark.sql.types._
 
@@ -16,45 +17,41 @@ import repro.meos.{Geo, ZoneIndex}
   * via dynamically registered operators (e.g. `MeosAtStbox_Expression`
   * wrapping `edwithin` / `tpoint_at_stbox`). Here the same predicates
   * are Catalyst `Expression`s registered in the session
-  * `FunctionRegistry` by [[repro.meos.MeosFunctions]]. The arithmetic
-  * predicates are interpreted via `CodegenFallback` — NebulaStream's
-  * non-compiled plugin path; `st_point_in_poly` and the geofence lookup
-  * `st_zones` have a `doGenCode` and run inside whole-stage codegen.
-  * `st_zones` is the lookup behind [[repro.meos.ZoneIndex.zonesAt]], so
-  * that column needs [[repro.core.NebulaMeos.setup]] on the session.
+  * `FunctionRegistry` by [[repro.meos.MeosFunctions]]. The five MEOS
+  * scalars are [[GeoCall]]s: the optimizer replaces each with a call to
+  * the [[repro.meos.Geo]] function that defines it, which runs inside
+  * whole-stage codegen and answers exactly as the Scala code does. The
+  * geofence lookup `st_zones` keeps its own `doGenCode`, because it
+  * builds its grid once per expression instance. It is the lookup
+  * behind [[repro.meos.ZoneIndex.zonesAt]], so that column needs
+  * [[repro.core.NebulaMeos.setup]] on the session.
   *
   * All yield null when a point coordinate or an operand is null;
   * `st_zones` reads a null catalogue as an empty one.
   */
-abstract class MeosScalarExpression extends Expression with CodegenFallback {
-  override def nullable: Boolean = true
+sealed abstract class GeoCall(override val prettyName: String, fn: String, resultType: DataType)
+    extends RuntimeReplaceable with ExpectsInputTypes {
+  /** Operands are numbers or an untyped NULL, cast to double. Any other
+    * operand is checked against DOUBLE, so a string, timestamp, date or
+    * boolean fails analysis with `DATATYPE_MISMATCH`.
+    */
+  override def inputTypes: Seq[DataType] = children.map(_.dataType match {
+    case number @ (_: NumericType | NullType) => number
+    case _ => DoubleType
+  })
 
-  /** Evaluate with all children non-null. */
-  protected def evalNotNull(vals: IndexedSeq[Any]): Any
+  /** The arguments of `Geo.fn`: each operand cast to double. */
+  protected def operands: Seq[Expression] = children.map(Cast(_, DoubleType))
 
-  override def eval(input: InternalRow): Any = {
-    val vals = children.map(_.eval(input)).toIndexedSeq
-    if (vals.exists(_ == null)) null else evalNotNull(vals)
-  }
-
-  protected def d(v: Any): Double = v match {
-    case x: Double => x
-    case x: Float => x.toDouble
-    case x: Int => x.toDouble
-    case x: Long => x.toDouble
-    case x: Short => x.toDouble
-    case x: Byte => x.toDouble
-    case x: Decimal => x.toDouble // SQL literals like 4.40 arrive as DECIMAL
-    case x => throw new IllegalArgumentException(s"expected numeric, got $x")
-  }
+  /** `Geo.fn(operands)`; any null operand gives null. */
+  override lazy val replacement: Expression =
+    StaticInvoke(Geo.getClass, resultType, fn, operands, returnNullable = false)
 }
 
 /** `st_distance(lon1, lat1, lon2, lat2)` — planar distance in meters. */
-case class StDistance(children: Seq[Expression]) extends MeosScalarExpression {
+case class StDistance(children: Seq[Expression])
+    extends GeoCall("st_distance", "distMeters", DoubleType) {
   require(children.length == 4, "st_distance(lon1, lat1, lon2, lat2)")
-  override def dataType: DataType = DoubleType
-  override protected def evalNotNull(v: IndexedSeq[Any]): Any =
-    Geo.distMeters(d(v(0)), d(v(1)), d(v(2)), d(v(3)))
   override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
     copy(children = c)
 }
@@ -62,11 +59,9 @@ case class StDistance(children: Seq[Expression]) extends MeosScalarExpression {
 /** `ed_within(lon1, lat1, lon2, lat2, dMeters)` — MEOS `edwithin` for
   * point arguments: are the two positions within `d` meters?
   */
-case class EdWithin(children: Seq[Expression]) extends MeosScalarExpression {
+case class EdWithin(children: Seq[Expression])
+    extends GeoCall("ed_within", "dWithin", BooleanType) {
   require(children.length == 5, "ed_within(lon1, lat1, lon2, lat2, dMeters)")
-  override def dataType: DataType = BooleanType
-  override protected def evalNotNull(v: IndexedSeq[Any]): Any =
-    Geo.dWithin(d(v(0)), d(v(1)), d(v(2)), d(v(3)), d(v(4)))
   override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
     copy(children = c)
 }
@@ -75,16 +70,10 @@ case class EdWithin(children: Seq[Expression]) extends MeosScalarExpression {
   * is the spatiotemporal point inside the STBox (closed bounds)?
   * The spine of the paper's `MeosAtStbox_Expression` for instant input.
   */
-case class StInStbox(children: Seq[Expression]) extends MeosScalarExpression {
+case class StInStbox(children: Seq[Expression])
+    extends GeoCall("st_in_stbox", "inStbox", BooleanType) {
   require(children.length == 9,
     "st_in_stbox(lon, lat, ts, xmin, xmax, ymin, ymax, tmin, tmax)")
-  override def dataType: DataType = BooleanType
-  override protected def evalNotNull(v: IndexedSeq[Any]): Any = {
-    val lon = d(v(0)); val lat = d(v(1)); val ts = d(v(2))
-    lon >= d(v(3)) && lon <= d(v(4)) &&
-      lat >= d(v(5)) && lat <= d(v(6)) &&
-      ts >= d(v(7)) && ts <= d(v(8))
-  }
   override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
     copy(children = c)
 }
@@ -92,46 +81,30 @@ case class StInStbox(children: Seq[Expression]) extends MeosScalarExpression {
 /** `st_in_box(lon, lat, xmin, xmax, ymin, ymax)` — purely spatial box
   * containment (the geofence fast path).
   */
-case class StInBox(children: Seq[Expression]) extends MeosScalarExpression {
+case class StInBox(children: Seq[Expression])
+    extends GeoCall("st_in_box", "inBox", BooleanType) {
   require(children.length == 6, "st_in_box(lon, lat, xmin, xmax, ymin, ymax)")
-  override def dataType: DataType = BooleanType
-  override protected def evalNotNull(v: IndexedSeq[Any]): Any = {
-    val lon = d(v(0)); val lat = d(v(1))
-    lon >= d(v(2)) && lon <= d(v(3)) && lat >= d(v(4)) && lat <= d(v(5))
-  }
   override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
     copy(children = c)
 }
 
 /** `st_point_in_poly(lon, lat, ring)` — ray-casting containment where
-  * `ring` is a flattened array<double> of [x0, y0, x1, y1, ...].
+  * `ring` is a flattened array of numbers [x0, y0, x1, y1, ...], read
+  * as a primitive `double[]`.
   */
 case class StPointInPoly(children: Seq[Expression])
-    extends Expression with ImplicitCastInputTypes {
+    extends GeoCall("st_point_in_poly", "pointInPolygon", BooleanType) {
   require(children.length == 3, "st_point_in_poly(lon, lat, ringArray)")
-  override def inputTypes: Seq[DataType] =
-    Seq(DoubleType, DoubleType, ArrayType(DoubleType))
-  override def dataType: DataType = BooleanType
-  override def nullable: Boolean = children.exists(_.nullable)
-
-  override def eval(input: InternalRow): Any = {
-    val v = children.map(_.eval(input))
-    if (v.contains(null)) null
-    else Geo.pointInPolygon(v(0).asInstanceOf[Double], v(1).asInstanceOf[Double],
-      v(2).asInstanceOf[ArrayData].toDoubleArray())
-  }
-
-  override protected def doGenCode(ctx: CodegenContext, ev: ExprCode): ExprCode = {
-    val Seq(lon, lat, ring) = children.map(_.genCode(ctx))
-    ev.copy(code = code"""
-      ${lon.code}
-      ${lat.code}
-      ${ring.code}
-      boolean ${ev.isNull} = ${lon.isNull} || ${lat.isNull} || ${ring.isNull};
-      boolean ${ev.value} = !${ev.isNull} && ${Geo.getClass.getName.stripSuffix("$")}.pointInPolygon(
-        ${lon.value}, ${lat.value}, ${ring.value}.toDoubleArray());""")
-  }
-
+  private val ringType = ArrayType(DoubleType)
+  /** A ring of any numbers, or an untyped NULL, is cast to `array<double>`. */
+  override def inputTypes: Seq[DataType] = super.inputTypes.take(2) :+
+    (children(2).dataType match {
+      case numbers @ (ArrayType(_: NumericType, _) | NullType) => numbers
+      case _ => ringType
+    })
+  override protected def operands: Seq[Expression] =
+    children.take(2).map(Cast(_, DoubleType)) :+ Invoke(Cast(children(2), ringType),
+      "toDoubleArray", ObjectType(classOf[Array[Double]]), returnNullable = false)
   override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
     copy(children = c)
 }

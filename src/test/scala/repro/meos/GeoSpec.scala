@@ -125,15 +125,4 @@ class GeoSpec extends SparkSpec {
       onBoundary || Geo.pointInPolygon(x, y, sq) == interval
     })
   }
-
-  test("pointPolygonDist: zero inside, positive outside") {
-    assert(Geo.pointPolygonDistMeters(0.5, 0.5, sq) == 0.0)
-    assert(Geo.pointPolygonDistMeters(2.0, 0.5, sq) > 0.0)
-  }
-
-  test("pointPolygonDist: distance to nearest edge") {
-    // 0.5 deg east of the unit square's right edge (at its mid-height).
-    val d = Geo.pointPolygonDistMeters(1.5, 0.5, sq)
-    assert(math.abs(d - 0.5 * Geo.MetersPerDegLon) < 1e-6)
-  }
 }
