@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.stream.Windows
@@ -65,13 +66,32 @@ object Baselines {
       .select(col("id"), col("train"), col("ts_ms"), col("lon"), col("lat"),
         col("zone_id"), col("speed_kmh"), col("lim").as("suggested_kmh"))
 
+  /** Gaps-and-islands annotation: for rows ordered by `tsMsCol` within
+    * each key, assign an `island_id` that increments whenever `pred`
+    * changes value, then keep only rows where `pred` holds. Each
+    * surviving island is one threshold window. This is how a generic
+    * SQL engine writes threshold windows; the DuckDB oracle spells out
+    * the same in SQL.
+    */
+  def islands(df: DataFrame, keys: Seq[String], tsMsCol: String, pred: Column): DataFrame = {
+    val w = Window.partitionBy(keys.map(col): _*).orderBy(col(tsMsCol))
+    df.withColumn("_pred", pred)
+      .withColumn("_chg",
+        when(lag(col("_pred"), 1).over(w).isNull ||
+             lag(col("_pred"), 1).over(w) =!= col("_pred"), 1).otherwise(0))
+      .withColumn("island_id", sum(col("_chg")).over(
+        w.rowsBetween(Window.unboundedPreceding, Window.currentRow)))
+      .where(col("_pred"))
+      .drop("_pred", "_chg")
+  }
+
   /** Threshold windows by gaps and islands — same output as
     * [[repro.stream.ThresholdWindow.batch]], written with the SQL a
     * generic engine offers: two window passes (`lag`, then a running
     * `sum`) number the runs of `pred`, and an aggregation closes them.
     */
   def thresholdWindows(df: DataFrame, pred: Column, minDurMs: Long): DataFrame =
-    Windows.islands(df, Seq("key"), "tsMs", pred)
+    islands(df, Seq("key"), "tsMs", pred)
       .groupBy(col("key"), col("island_id"))
       .agg(
         min("tsMs").as("startMs"), max("tsMs").as("endMs"),

@@ -1,10 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.sncb.{RailNetwork, TrainData}
-import repro.stream.{Cep, ThresholdWindow, Windows}
+import repro.stream.{ThresholdWindow, Windows}
 
 /** Geospatial complex event processing queries Q5–Q8 (paper §3.2). */
 object Gcep {
@@ -14,7 +14,9 @@ object Gcep {
     * alert on average deviation or overheating and attach the nearest
     * workshop: the least MEOS `st_distance` from the window's centroid
     * over the workshop catalogue, a stateless scalar per alert (null
-    * when there is no workshop).
+    * when there is no workshop). The catalogue comes from
+    * [[Geofencing.zoneSeq]]: a cached zone table is collected once, any
+    * other at every plan build.
     *
     * Output: win_start, train, n_events, avg_dev, max_dev, max_temp,
     *         alert_kind, workshop_id, workshop_dist_m.
@@ -35,7 +37,7 @@ object Gcep {
         when(col("max_dev") > devThreshold && col("max_temp") > tempThreshold, "BOTH")
           .when(col("max_dev") > devThreshold, "BATTERY")
           .otherwise("OVERHEAT"))
-    val workshops = Geofencing.zoneSeq(zones.where(col("kind") === "workshop"))
+    val workshops = Geofencing.zoneSeq(zones).filter(_.kind == "workshop")
       .map(z => (z.cLon, z.cLat, z.zoneId))
     val nearest = array_min(transform(typedLit(workshops), w => struct(
       call_function("st_distance", col("c_lon"), col("c_lat"),
@@ -95,8 +97,22 @@ object Gcep {
   def brakePatterns(events: DataFrame,
                     sizeMs: Long = 600000L, slideMs: Long = 120000L,
                     k: Long = 3L): DataFrame =
-    Cep.countPattern(events.withColumn("segment", segmentCol),
+    countPattern(events.withColumn("segment", segmentCol),
       Seq("segment"), "ts_ms", col("brake_bar") < 2.0, sizeMs, slideMs, k)
+
+  /** Count pattern (GCEP after Ziehn [10], which NebulaMEOS extends):
+    * fire when at least `k` events satisfying `pred` fall in one sliding
+    * window (`sizeMs`, `slideMs`) of a key group. The predicate is
+    * pushed below the window replication.
+    *
+    * Output: win_start, keys, n_events, first_ms, last_ms.
+    */
+  private[repro] def countPattern(df: DataFrame, keys: Seq[String], tsMsCol: String,
+                                  pred: Column, sizeMs: Long, slideMs: Long, k: Long): DataFrame =
+    Windows.sliding(df.where(pred), tsMsCol, sizeMs, slideMs, keys,
+        Seq(count(lit(1)).as("n_events"),
+            min(tsMsCol).as("first_ms"), max(tsMsCol).as("last_ms")))
+      .where(col("n_events") >= k)
 
   /** Q8b — Monitoring Brakes (persistent low pressure): threshold
     * windows where brake pressure stays below 4 bar for `minDurMs`.

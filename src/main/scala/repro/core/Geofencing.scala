@@ -1,6 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import java.util.concurrent.ConcurrentMap
+
+import com.google.common.collect.MapMaker
+import org.apache.spark.sql.{classic, Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.meos.ZoneIndex
@@ -18,21 +21,39 @@ import repro.stream.Windows
   */
 object Geofencing {
 
-  /** Collect a zone table to its catalogue form (zone tables are small
-    * and static — the collected list seeds the grid index).
+  /** Catalogues of cached zone tables, keyed by the cache entry's
+    * builder. Keys are weak and compared by identity, so `unpersist()`
+    * or caching the table again drops the catalogue.
     */
-  private[core] def zoneSeq(zones: DataFrame): Seq[Zone] =
-    zones.select("zone_id", "kind", "xmin", "xmax", "ymin", "ymax", "lim")
-      .collect().toSeq.map(r => Zone(r.getInt(0), r.getString(1), r.getDouble(2),
-        r.getDouble(3), r.getDouble(4), r.getDouble(5), r.getDouble(6)))
+  private val catalogues: ConcurrentMap[AnyRef, Seq[Zone]] =
+    new MapMaker().weakKeys().makeMap()
+
+  /** A zone table in its catalogue form, every kind (zone tables are
+    * small and static — the list seeds the grid index). A cached table
+    * is collected once per cache entry; any other table at every call,
+    * that is at every build of a plan over it.
+    */
+  private[core] def zoneSeq(zones: DataFrame): Seq[Zone] = {
+    def collect(): Seq[Zone] =
+      zones.select("zone_id", "kind", "xmin", "xmax", "ymin", "ymax", "lim")
+        .collect().toSeq.map(r => Zone(r.getInt(0), r.getString(1), r.getDouble(2),
+          r.getDouble(3), r.getDouble(4), r.getDouble(5), r.getDouble(6)))
+    val cached = zones match {
+      case d: classic.Dataset[_] => d.sparkSession.sharedState.cacheManager.lookupCachedData(d)
+      case _ => None
+    }
+    cached.fold(collect())(c =>
+      catalogues.computeIfAbsent(c.cachedRepresentation.cacheBuilder, _ => collect()))
+  }
 
   /** The zones of `kinds` containing (lon, lat), as the
-    * `array<struct<zone_id, lim>>` of [[repro.meos.ZoneIndex.zonesAt]];
-    * the catalogue is collected once, when the plan is built.
+    * `array<struct<zone_id, lim>>` of [[repro.meos.ZoneIndex.zonesAt]].
+    * Kinds are picked on the driver from [[zoneSeq]]'s catalogue, so a
+    * cached zone table is collected once, any other at every plan build.
     */
   private[core] def zonesAt(zones: DataFrame, kinds: Seq[String],
                             lon: Column = col("lon"), lat: Column = col("lat")): Column =
-    ZoneIndex.zonesAt(zoneSeq(zones.where(col("kind").isin(kinds: _*))), lon, lat)
+    ZoneIndex.zonesAt(zoneSeq(zones).filter(z => kinds.contains(z.kind)), lon, lat)
 
   /** Q1 — Location-Based Alert Filtering: drop non-essential (SPEED)
     * alerts raised inside maintenance zones; annotate the rest with

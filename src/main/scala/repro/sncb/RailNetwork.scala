@@ -129,7 +129,7 @@ object RailNetwork {
     }
   }
 
-  /** A zone list as a DataFrame with the [[zonesDf]] schema. */
+  /** A zone list as a DataFrame (zone_id, kind, xmin, xmax, ymin, ymax, lim). */
   def toDf(spark: SparkSession, zones: Seq[Zone]): DataFrame = {
     import spark.implicits._
     zones.map(z => (z.zoneId, z.kind, z.xmin, z.xmax, z.ymin, z.ymax, z.limit))
@@ -142,10 +142,6 @@ object RailNetwork {
   val CellsX: Int = math.ceil((LonMax - LonMin) / CellLon).toInt
   val CellsY: Int = math.ceil((LatMax - LatMin) / CellLat).toInt
 
-  /** Zones as a DataFrame (zone_id, kind, xmin, xmax, ymin, ymax, lim). */
-  def zonesDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    all.map(z => (z.zoneId, z.kind, z.xmin, z.xmax, z.ymin, z.ymax, z.limit))
-      .toDF("zone_id", "kind", "xmin", "xmax", "ymin", "ymax", "lim")
-  }
+  /** The network's zones as a DataFrame ([[toDf]] of [[all]]). */
+  def zonesDf(spark: SparkSession): DataFrame = toDf(spark, all)
 }

@@ -1,7 +1,6 @@
 package repro.stream
 
 import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 /** NebulaStream-style window operators over event streams.
@@ -55,25 +54,5 @@ object Windows {
              col(tsMsCol) < col("win_start") + sizeMs)
       .drop("_off")
     replicated.groupBy((col("win_start") +: keys.map(col)): _*).agg(aggs.head, aggs.tail: _*)
-  }
-
-  /** Gaps-and-islands annotation: for rows ordered by `tsMsCol` within
-    * each key, assign an `island_id` that increments whenever `pred`
-    * changes value, then keep only rows where `pred` holds. Each
-    * surviving island is one threshold window. This is how a generic
-    * SQL engine writes threshold windows: the naive baseline
-    * ([[repro.core.Baselines.thresholdWindows]]) uses it, and the DuckDB
-    * oracle spells out the same in SQL.
-    */
-  def islands(df: DataFrame, keys: Seq[String], tsMsCol: String, pred: Column): DataFrame = {
-    val w = Window.partitionBy(keys.map(col): _*).orderBy(col(tsMsCol))
-    df.withColumn("_pred", pred)
-      .withColumn("_chg",
-        when(lag(col("_pred"), 1).over(w).isNull ||
-             lag(col("_pred"), 1).over(w) =!= col("_pred"), 1).otherwise(0))
-      .withColumn("island_id", sum(col("_chg")).over(
-        w.rowsBetween(Window.unboundedPreceding, Window.currentRow)))
-      .where(col("_pred"))
-      .drop("_pred", "_chg")
   }
 }

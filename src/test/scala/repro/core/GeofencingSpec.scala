@@ -1,11 +1,16 @@
 package repro.core
 
+import java.nio.file.Files
+import java.util.concurrent.{CountDownLatch, Executors, LinkedBlockingQueue, TimeUnit}
+
+import org.apache.commons.io.FileUtils
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec, SortMergeJoinExec}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, OracleSql, RowCompare, SparkSpec, TestData}
-import repro.meos.Geo
-import repro.sncb.{RailNetwork, TrainData}
+import repro.sncb.{RailNetwork, TrainData, Zone}
 
 /** Q1–Q4 against the DuckDB oracle (rectangles → plain arithmetic) and
   * against the naive baselines (which must return identical rows).
@@ -167,5 +172,112 @@ class GeofencingSpec extends SparkSpec {
   test("Q4 snow caps are the strictest") {
     val bySnow = q4.where(col("condition") === 2)
     assert(bySnow.where(col("suggested_kmh") > 60.0).count() == 0)
+  }
+
+  // ------------------------------------------------ zone catalogues ----
+
+  /** The Spark jobs `body` starts from this thread. They run under a
+    * job group of their own; a marker job run after `body` shows when
+    * the listener bus has delivered every job started before it.
+    */
+  private def jobsOf(body: => Unit): Int = {
+    val group = s"zone-catalogue-${java.util.UUID.randomUUID}"
+    val marker = s"$group-marker"
+    val seen = new LinkedBlockingQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id")))
+          .filter(_.startsWith(group)).foreach(seen.put)
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      def in(g: String)(f: => Unit): Unit = {
+        sc.setJobGroup(g, g)
+        try f finally sc.clearJobGroup()
+      }
+      in(group)(body)
+      in(marker)(sc.parallelize(Seq(1), 1).count())
+      Iterator.continually(seen.poll(60, TimeUnit.SECONDS))
+        .map(g => { assert(g != null, "the marker job never reached the listener"); g })
+        .takeWhile(_ != marker).size
+    } finally sc.removeSparkListener(listener)
+  }
+
+  /** Plan builds of the five queries that read a zone catalogue. */
+  private def zonePlans(zones: DataFrame): Seq[(String, () => DataFrame)] = Seq(
+    "Q1" -> (() => Geofencing.alertFiltering(ev, zones)),
+    "Q2" -> (() => Geofencing.noiseMonitoring(ev, zones)),
+    "Q3" -> (() => Geofencing.dynamicSpeedLimit(ev, zones)),
+    "Q5" -> (() => Gcep.batteryMonitoring(ev, zones)),
+    "Q7" -> (() => Gcep.unscheduledStops(ev, zones)))
+
+  /** Run `f` on the path of a new parquet file of `zones`; the file is
+    * deleted afterwards.
+    */
+  private def withParquetZones[A](zones: Seq[Zone])(f: String => A): A = {
+    val dir = Files.createTempDirectory("zones")
+    try {
+      val path = dir.resolve("zones.parquet").toString
+      RailNetwork.toDf(spark, zones).write.parquet(path)
+      f(path)
+    } finally FileUtils.deleteDirectory(dir.toFile)
+  }
+
+  test("a cached zone table is collected once; an uncached one at every plan build") {
+    assert(!ev.isEmpty) // the events are generated and cached before counting
+    val catalogue = RailNetwork.all ++ RailNetwork.syntheticZones(40, seed = 11)
+    val cached = RailNetwork.toDf(spark, catalogue).cache()
+    try {
+      val plans = zonePlans(cached)
+      assert(jobsOf(plans.foreach(_._2())) == 1, "the first build collects the catalogue")
+      plans.foreach { case (q, build) => assert(jobsOf(build()) == 0, s"$q rebuilt") }
+    } finally cached.unpersist(blocking = true)
+    withParquetZones(catalogue) { path =>
+      zonePlans(spark.read.parquet(path)).foreach { case (q, build) =>
+        assert(jobsOf(build()) == 1, s"$q, first build")
+        assert(jobsOf(build()) == 1, s"$q, second build")
+      }
+    }
+  }
+
+  test("Q1 reads the rewritten zone table after unpersist and cache again") {
+    withParquetZones(RailNetwork.all) { path =>
+      val before = spark.read.parquet(path).cache()
+      val kept = try {
+        Geofencing.alertFiltering(ev, before).select("id", "lon", "lat", "alert_type",
+          "in_maintenance").collect().toSeq
+      } finally before.unpersist(blocking = true)
+      val speed = kept.filter(r => r.getString(3) == "SPEED" && !r.getBoolean(4))
+        .minBy(_.getLong(0))
+      val (lon, lat) = (speed.getDouble(1), speed.getDouble(2))
+      val around = Zone(9000, "maintenance", lon - 1e-5, lon + 1e-5, lat - 1e-5, lat + 1e-5, 0)
+      RailNetwork.toDf(spark, RailNetwork.all :+ around).write.mode("overwrite").parquet(path)
+      val after = spark.read.parquet(path).cache()
+      try {
+        val ids = Geofencing.alertFiltering(ev, after).collect().map(_.getAs[Long]("id")).toSet
+        assert(ids == kept.map(_.getLong(0)).toSet - speed.getLong(0))
+      } finally after.unpersist(blocking = true)
+    }
+  }
+
+  test("eight threads building Q1 over a freshly cached zone table get the same rows") {
+    val zones = RailNetwork.toDf(spark,
+      RailNetwork.all ++ RailNetwork.syntheticZones(300, seed = 13)).cache()
+    val pool = Executors.newFixedThreadPool(8)
+    val start = new CountDownLatch(1)
+    try {
+      val runs = (0 until 8).map(_ => pool.submit(() => {
+        start.await()
+        RowCompare.canon(Geofencing.alertFiltering(ev, zones))
+      }))
+      start.countDown()
+      val want = RowCompare.canon(Baselines.alertFiltering(ev, zones))
+      assert(want.nonEmpty)
+      runs.foreach(r => assert(r.get(5, TimeUnit.MINUTES) == want))
+    } finally {
+      pool.shutdown()
+      zones.unpersist(blocking = true)
+    }
   }
 }

@@ -1,8 +1,10 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, Row}
+import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.OutputMode
+import org.apache.spark.sql.types.DoubleType
 
 import repro.{RowCompare, SparkSpec, TestData}
 import repro.sncb.RailNetwork
@@ -125,5 +127,55 @@ class StreamingQueriesSpec extends SparkSpec {
     val lastTs = ev.agg(max("ts_ms")).head().getLong(0)
     val batch = Gcep.persistentLowPressure(ev).where(col("endMs") < lastTs)
     RowCompare.assertSameRows(got, batch)
+  }
+
+  /** `a` and `b` hold the same rows: columns other than doubles (keys
+    * and counts) agree exactly, doubles within 1e-9 relative. Sums over
+    * several source partitions may add in another order than batch.
+    */
+  private def assertCloseRows(a: DataFrame, b: DataFrame): Unit = {
+    val cols = b.columns.sorted.toSeq
+    val isDouble = b.select(cols.map(col): _*).schema.map(_.dataType == DoubleType)
+    def rows(df: DataFrame): Seq[(String, Seq[Any])] =
+      df.select(cols.map(col): _*).collect().toSeq.map { r =>
+        val exact = cols.indices.filterNot(isDouble).map(i => String.valueOf(r.get(i)))
+        (exact.mkString("|"), cols.indices.filter(isDouble).map(r.get))
+      }.sortBy(_._1)
+    def close(x: Any, y: Any): Boolean = (x, y) match {
+      case (x: Double, y: Double) =>
+        x == y || (x.isNaN && y.isNaN) || math.abs(x - y) <= 1e-9 * math.max(math.abs(x), math.abs(y))
+      case _ => x == y
+    }
+    val (ra, rb) = (rows(a), rows(b))
+    assert(ra.map(_._1) == rb.map(_._1), s"keys or counts differ (${ra.size} vs ${rb.size} rows)")
+    ra.zip(rb).foreach { case ((k, da), (_, db)) =>
+      assert(da.zip(db).forall { case (x, y) => close(x, y) }, s"row $k: $da vs $db")
+    }
+  }
+
+  test("Q2, Q5, Q6 and Q8a over a four-partition source equal batch") {
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    def run(name: String, mode: OutputMode, q: DataFrame => DataFrame): DataFrame = {
+      val source = MemoryStream[SensorEvent](4)
+      val query = q(source.toDF())
+        .writeStream.format("memory").queryName(name).outputMode(mode).start()
+      try chunks.foreach { c => source.addData(c); query.processAllAvailable() }
+      finally query.stop()
+      spark.table(name)
+    }
+    val parts = run("mp_parts", OutputMode.Append(), _.select(spark_partition_id().as("p")))
+    assert(parts.distinct().count() == 4, "the source did not split its chunks")
+    Seq[(String, OutputMode, DataFrame => DataFrame, DataFrame)](
+      ("mp2", OutputMode.Complete(), Geofencing.noiseMonitoring(_, zones),
+        Geofencing.noiseMonitoring(ev, zones)),
+      ("mp5", OutputMode.Complete(), df => Streaming.batteryMonitoring(df, RailNetwork.workshops),
+        Gcep.batteryMonitoring(ev, zones)),
+      ("mp6", OutputMode.Complete(), Gcep.heavyPassengerLoad(_), Gcep.heavyPassengerLoad(ev)),
+      ("mp8a", OutputMode.Complete(), Gcep.brakePatterns(_), Gcep.brakePatterns(ev))
+    ).foreach { case (name, mode, q, batch) =>
+      val want = batch.cache()
+      assert(want.count() > 0, s"$name: batch found nothing to compare")
+      assertCloseRows(run(name, mode, q), want)
+    }
   }
 }

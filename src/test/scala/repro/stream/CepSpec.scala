@@ -3,7 +3,11 @@ package repro.stream
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.core.Gcep
 
+/** The GCEP count pattern behind Q8a ([[repro.core.Gcep.countPattern]])
+  * on a hand-built brake stream.
+  */
 class CepSpec extends SparkSpec {
 
   private lazy val brakes = {
@@ -17,20 +21,20 @@ class CepSpec extends SparkSpec {
   }
 
   test("countPattern fires on the planted cluster only") {
-    val out = Cep.countPattern(brakes, Seq("segment"), "ts_ms",
+    val out = Gcep.countPattern(brakes, Seq("segment"), "ts_ms",
       col("brake_bar") < 2.0, 600000L, 120000L, 3L)
     val segs = out.select("segment").distinct().collect().map(_.getLong(0)).toSet
     assert(segs == Set(7L))
   }
 
   test("countPattern respects the threshold k") {
-    val out = Cep.countPattern(brakes, Seq("segment"), "ts_ms",
+    val out = Gcep.countPattern(brakes, Seq("segment"), "ts_ms",
       col("brake_bar") < 2.0, 600000L, 120000L, 5L)
     assert(out.count() == 0)
   }
 
   test("countPattern carries first/last event times") {
-    val r = Cep.countPattern(brakes, Seq("segment"), "ts_ms",
+    val r = Gcep.countPattern(brakes, Seq("segment"), "ts_ms",
         col("brake_bar") < 2.0, 600000L, 120000L, 4L)
       .orderBy("win_start").limit(1).head()
     assert(r.getAs[Long]("first_ms") == 0L)
@@ -39,7 +43,7 @@ class CepSpec extends SparkSpec {
   }
 
   test("countPattern matches the DuckDB oracle") {
-    val out = Cep.countPattern(brakes, Seq("segment"), "ts_ms",
+    val out = Gcep.countPattern(brakes, Seq("segment"), "ts_ms",
       col("brake_bar") < 2.0, 600000L, 120000L, 3L)
     Oracle.assertEquivalent(out,
       """WITH t AS (SELECT CAST(segment AS BIGINT) AS segment,

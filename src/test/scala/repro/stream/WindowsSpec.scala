@@ -3,6 +3,7 @@ package repro.stream
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.core.Baselines
 
 class WindowsSpec extends SparkSpec {
 
@@ -76,7 +77,7 @@ class WindowsSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq(("a", 0L, 1), ("a", 1000L, 1), ("a", 2000L, 0), ("a", 3000L, 1))
       .toDF("k", "ts_ms", "flag")
-    val out = Windows.islands(df, Seq("k"), "ts_ms", col("flag") === 1)
+    val out = Baselines.islands(df, Seq("k"), "ts_ms", col("flag") === 1)
       .select("ts_ms", "island_id").collect()
       .map(r => (r.getLong(0), r.getLong(1))).sortBy(_._1)
     assert(out.toSeq == Seq((0L, 1L), (1000L, 1L), (3000L, 3L)))
@@ -85,7 +86,7 @@ class WindowsSpec extends SparkSpec {
   test("islands: keys are independent") {
     import spark.implicits._
     val df = Seq(("a", 0L, 1), ("b", 0L, 0), ("b", 1000L, 1)).toDF("k", "ts_ms", "flag")
-    val out = Windows.islands(df, Seq("k"), "ts_ms", col("flag") === 1)
+    val out = Baselines.islands(df, Seq("k"), "ts_ms", col("flag") === 1)
     assert(out.count() == 2)
     val byKey = out.collect().map(r => (r.getString(0), r.getLong(3))).toMap
     assert(byKey("a") == 1L && byKey("b") == 2L)
@@ -94,6 +95,6 @@ class WindowsSpec extends SparkSpec {
   test("islands: no predicate rows yields empty output") {
     import spark.implicits._
     val df = Seq(("a", 0L, 0), ("a", 1000L, 0)).toDF("k", "ts_ms", "flag")
-    assert(Windows.islands(df, Seq("k"), "ts_ms", col("flag") === 1).count() == 0)
+    assert(Baselines.islands(df, Seq("k"), "ts_ms", col("flag") === 1).count() == 0)
   }
 }
