@@ -2,16 +2,28 @@ package repro.core
 
 import org.apache.spark.sql.SparkSession
 
-import repro.meos.MeosFunctions
+import repro.meos.expressions._
 
 /** Session-level integration, the NebulaMEOS "plugin" entry point:
-  * registering MEOS expressions and UDFs on a SparkSession makes every
+  * registering the MEOS expressions on a SparkSession makes every
   * query in [[Geofencing]] and [[Gcep]] resolvable.
   */
 object NebulaMeos {
 
-  /** Register all MEOS functions (idempotent). */
-  def setup(spark: SparkSession): Unit = MeosFunctions.registerAll(spark)
+  /** Register every MEOS expression in the session `FunctionRegistry`
+    * (idempotent), the analogue of NebulaStream's dynamic operator
+    * registration. [[repro.meos.ZoneIndex.zonesAt]] calls `st_zones` by
+    * name, so it needs this registration too.
+    */
+  def setup(spark: SparkSession): Unit = {
+    val reg = spark.sessionState.functionRegistry
+    reg.createOrReplaceTempFunction("st_distance", StDistance(_), "scala_udf")
+    reg.createOrReplaceTempFunction("ed_within", EdWithin(_), "scala_udf")
+    reg.createOrReplaceTempFunction("st_in_box", StInBox(_), "scala_udf")
+    reg.createOrReplaceTempFunction("st_in_stbox", StInStbox(_), "scala_udf")
+    reg.createOrReplaceTempFunction("st_point_in_poly", StPointInPoly(_), "scala_udf")
+    reg.createOrReplaceTempFunction("st_zones", StZones(_), "scala_udf")
+  }
 
   /** Serialized bytes per event per query stream, chosen to match the
     * paper's implied ratios (MB reported / events-per-second reported):

@@ -43,39 +43,14 @@ object Geo {
               tmin: Double, tmax: Double): Boolean =
     inBox(lon, lat, xmin, xmax, ymin, ymax) && t >= tmin && t <= tmax
 
-  /** Distance in meters from point p to the segment (a, b).
-    *
-    * Projection is done in meter space so the anisotropy of degrees
-    * does not skew the foot of the perpendicular.
-    */
-  def pointSegmentDistMeters(plon: Double, plat: Double,
-                             alon: Double, alat: Double,
-                             blon: Double, blat: Double): Double = {
-    val ax = alon * MetersPerDegLon; val ay = alat * MetersPerDegLat
-    val bx = blon * MetersPerDegLon; val by = blat * MetersPerDegLat
-    val px = plon * MetersPerDegLon; val py = plat * MetersPerDegLat
-    val dx = bx - ax; val dy = by - ay
-    val len2 = dx * dx + dy * dy
-    val u =
-      if (len2 <= 0.0) 0.0
-      else math.max(0.0, math.min(1.0, ((px - ax) * dx + (py - ay) * dy) / len2))
-    val cx = ax + u * dx; val cy = ay + u * dy
-    math.hypot(px - cx, py - cy)
-  }
-
-  /** Ray-casting point-in-polygon test.
+  /** Ray-casting point-in-polygon test, the function `st_point_in_poly`
+    * calls.
     *
     * @param coords flattened ring [x0, y0, x1, y1, ...] in lon/lat; the
     *               ring is implicitly closed (last vertex joins first).
     *               Points exactly on an edge may fall on either side —
     *               zone polygons in this repo are sized so boundary
     *               events are irrelevant.
-    */
-  def pointInPolygon(lon: Double, lat: Double, coords: IndexedSeq[Double]): Boolean =
-    pointInPolygon(lon, lat, coords.toArray)
-
-  /** [[pointInPolygon]] over a primitive ring — the form
-    * `st_point_in_poly` calls, with no boxing per vertex.
     */
   def pointInPolygon(lon: Double, lat: Double, coords: Array[Double]): Boolean = {
     require(coords.length >= 6 && coords.length % 2 == 0,

@@ -15,16 +15,17 @@ import repro.meos.{Geo, ZoneIndex}
   *
   * The paper integrates MEOS into NebulaStream's expression framework
   * via dynamically registered operators (e.g. `MeosAtStbox_Expression`
-  * wrapping `edwithin` / `tpoint_at_stbox`). Here the same predicates
-  * are Catalyst `Expression`s registered in the session
-  * `FunctionRegistry` by [[repro.meos.MeosFunctions]]. The five MEOS
-  * scalars are [[GeoCall]]s: the optimizer replaces each with a call to
-  * the [[repro.meos.Geo]] function that defines it, which runs inside
+  * wrapping `edwithin` and the spatiotemporal-box test), each applied
+  * to one event, a temporal-point instant. Here the same predicates are
+  * Catalyst `Expression`s registered in the session `FunctionRegistry`
+  * by [[repro.core.NebulaMeos.setup]]. The five MEOS scalars are
+  * [[GeoCall]]s: the optimizer replaces each with a call to the
+  * [[repro.meos.Geo]] function that defines it, which runs inside
   * whole-stage codegen and answers exactly as the Scala code does. The
   * geofence lookup `st_zones` keeps its own `doGenCode`, because it
   * builds its grid once per expression instance. It is the lookup
-  * behind [[repro.meos.ZoneIndex.zonesAt]], so that column needs
-  * [[repro.core.NebulaMeos.setup]] on the session.
+  * behind [[repro.meos.ZoneIndex.zonesAt]], so that column needs this
+  * registration on the session.
   *
   * All yield null when a point coordinate or an operand is null;
   * `st_zones` reads a null catalogue as an empty one.

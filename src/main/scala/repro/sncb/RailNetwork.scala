@@ -16,10 +16,6 @@ final case class Zone(zoneId: Int, kind: String,
                       limit: Double) {
   def cLon: Double = (xmin + xmax) / 2
   def cLat: Double = (ymin + ymax) / 2
-  /** Zone perimeter as a flattened polygon ring (for the naive
-    * point-in-polygon baselines and polygon unit tests). */
-  def ring: IndexedSeq[Double] =
-    IndexedSeq(xmin, ymin, xmax, ymin, xmax, ymax, xmin, ymax)
 }
 
 /** Static description of the synthetic network the six trains run on.

@@ -14,7 +14,7 @@ import org.apache.spark.sql.types._
   *
   * Six trains emit one fused sensor record per second. Trains move
   * along their [[RailNetwork]] ellipse, freezing position during
-  * planted stop episodes (every `StopPeriod(t)` seconds the train
+  * planted stop episodes (every [[stopPeriod]] seconds the train
   * stops for [[StopLen]] seconds wherever it happens to be — inside or
   * outside a station, which is exactly what Q7 must tell apart).
   */
@@ -29,8 +29,8 @@ object TrainData {
   /** Stop episode length in steps (seconds). */
   val StopLen = 120L
 
-  /** Stop period of train `t` in steps. */
-  def stopPeriod(train: Int): Long = 900L + 60L * train
+  /** Stop period in steps of the train in column `train`. */
+  def stopPeriod(train: Column): Column = lit(900L) + train * 60L
 
   /** Battery charge/discharge cycle length in steps. */
   val BatteryCycle = 1800L
@@ -58,7 +58,7 @@ object TrainData {
       .withColumn("ts_ms", lit(T0) + col("seq") * 1000L)
     // Stop episodes: stopped iff (seq mod P) < StopLen; progress counts
     // only moving steps so the position freezes during a stop.
-    val p = lit(900L) + col("train") * 60L
+    val p = stopPeriod(col("train"))
     val inPeriod = col("seq") % p
     val withMotion = df
       .withColumn("stopped", inPeriod < StopLen)
@@ -76,10 +76,7 @@ object TrainData {
     val speed = when(col("stopped"), 0.0).otherwise(
       vmax * (lit(0.55) + sin(lit(2 * pi) * col("seq") / 300 + col("train")) * 0.45))
     // Battery: triangle charge/discharge curve + injected deviations.
-    val cyc = (col("seq") % BatteryCycle) / BatteryCycle.toDouble
-    val expectedV = lit(BatteryBaseV) +
-      (lit(1.0) - abs(cyc * 2 - 1)) * BatteryAmpV
-    val batteryV = expectedV + (h(col("id"), seed, 1) - 0.5) * 0.2 +
+    val batteryV = expectedBatteryV(col("seq")) + (h(col("id"), seed, 1) - 0.5) * 0.2 +
       when(h(col("id"), seed, 2) < 0.01, lit(2.0) + h(col("id"), seed, 3) * 2)
         .otherwise(0.0)
     val tempC = lit(20.0) + sin(lit(2 * pi) * col("seq") / 43200) * 8 +

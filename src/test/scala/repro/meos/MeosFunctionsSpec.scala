@@ -201,89 +201,15 @@ class MeosFunctionsSpec extends SparkSpec {
     assert(joined == Set((1, 10), (2, 20)))
   }
 
-  // --- trajectory (sequence) UDFs -----------------------------------
-
-  private lazy val trajDf = {
-    import spark.implicits._
-    // Two trajectories: g=1 eastward run, g=2 a stationary point.
-    val rows = (0 to 10).map(i => (1, i * 1000L, 4.0 + i * 0.001, 50.8)) ++
-      Seq((2, 0L, 4.5, 50.5), (2, 5000L, 4.5, 50.5))
-    rows.toDF("g", "ts_ms", "lon", "lat")
-  }
-
-  private lazy val trajAgg = trajDf.groupBy("g")
-    .agg(MeosFunctions.tpointSeq(col("ts_ms"), col("lon"), col("lat")).as("traj"))
-    .cache()
-
-  private def refSeq(g: Int): TSeq = TSeq.of(
-    trajDf.where(col("g") === g).collect()
-      .map(r => (r.getLong(1), r.getDouble(2), r.getDouble(3))))
-
-  test("tpoint_length matches the TSeq reference") {
-    val out = trajAgg.selectExpr("g", "tpoint_length(traj) AS len")
-      .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
-    assert(math.abs(out(1) - refSeq(1).lengthMeters) < 1e-9)
-    assert(out(2) == 0.0)
-  }
-
-  test("tpoint_duration_s and tpoint_num_instants") {
-    val out = trajAgg.selectExpr("g", "tpoint_duration_s(traj) AS d",
-        "tpoint_num_instants(traj) AS n")
-      .collect().map(r => r.getInt(0) -> ((r.getDouble(1), r.getInt(2)))).toMap
-    assert(out(1) == ((10.0, 11)))
-    assert(out(2) == ((5.0, 2)))
-  }
-
-  test("tpoint_avg_speed matches length/duration") {
-    val r = trajAgg.where(col("g") === 1)
-      .selectExpr("tpoint_avg_speed(traj) AS v").head().getDouble(0)
-    assert(math.abs(r - refSeq(1).avgSpeedMps) < 1e-9)
-  }
-
-  test("tpoint_min_dist and tpoint_edwithin agree with the reference") {
-    val ref = refSeq(1).minDistMeters(4.005, 50.801)
-    val r = trajAgg.where(col("g") === 1)
-      .selectExpr("tpoint_min_dist(traj, 4.005, 50.801) AS d",
-        s"tpoint_edwithin(traj, 4.005, 50.801, ${ref + 1.0}) AS within",
-        s"tpoint_edwithin(traj, 4.005, 50.801, ${ref - 1.0}) AS notWithin").head()
-    assert(math.abs(r.getDouble(0) - ref) < 1e-9)
-    assert(r.getBoolean(1) && !r.getBoolean(2))
-  }
-
-  test("tpoint_at_stbox clips like TSeq.atStbox") {
-    val box = STBox(4.0045, 4.0085, 50.0, 51.0, 0L, 100000L)
-    val expected = refSeq(1).atStbox(box)
-    val got = trajAgg.where(col("g") === 1)
-      .selectExpr(s"tpoint_at_stbox(traj, ${box.xmin}, ${box.xmax}, ${box.ymin}, ${box.ymax}, ${box.tmin}, ${box.tmax}) AS c")
-      .head().getSeq[scala.collection.Seq[scala.collection.Seq[Double]]](0)
-    assert(got.length == expected.length)
-    got.zip(expected).foreach { case (piece, exp) =>
-      assert(piece.length == exp.insts.length)
-      piece.zip(exp.insts).foreach { case (p, i) =>
-        assert(p(0).toLong == i.t)
-        assert(math.abs(p(1) - i.lon) < 1e-12)
-        assert(math.abs(p(2) - i.lat) < 1e-12)
-      }
-    }
-  }
-
-  test("tpoint_ever_at_stbox consistent with clipping") {
-    val r = trajAgg.where(col("g") === 1).selectExpr(
-      "tpoint_ever_at_stbox(traj, 4.0045, 4.0085, 50.0, 51.0, 0, 100000) AS hit",
-      "tpoint_ever_at_stbox(traj, 6.0, 7.0, 50.0, 51.0, 0, 100000) AS miss").head()
-    assert(r.getBoolean(0) && !r.getBoolean(1))
-  }
-
-  test("sequence UDFs tolerate empty trajectories") {
-    val r = spark.sql(
-      """SELECT tpoint_length(CAST(array() AS ARRAY<ARRAY<DOUBLE>>)) AS a,
-        |       tpoint_num_instants(CAST(array() AS ARRAY<ARRAY<DOUBLE>>)) AS b,
-        |       tpoint_edwithin(CAST(array() AS ARRAY<ARRAY<DOUBLE>>), 4.0, 50.0, 1000.0) AS c""".stripMargin).head()
-    assert(r.getDouble(0) == 0.0 && r.getInt(1) == 0 && !r.getBoolean(2))
-  }
-
   test("registerAll is idempotent") {
     NebulaMeos.setup(spark); NebulaMeos.setup(spark)
     assert(spark.sql("SELECT st_distance(4.0, 50.0, 4.1, 50.0) AS d").head().getDouble(0) > 0)
+    val names = spark.sessionState.functionRegistry.listFunction().map(_.funcName).toSet
+    val meos = Set("st_distance", "ed_within", "st_in_box", "st_in_stbox", "st_point_in_poly", "st_zones")
+    assert(meos.subsetOf(names), meos -- names)
+    assert(!names.exists(_.startsWith("tpoint_")), names.filter(_.startsWith("tpoint_")))
+    val e = intercept[AnalysisException](
+      spark.sql("SELECT tpoint_length(CAST(array() AS ARRAY<ARRAY<DOUBLE>>))").collect())
+    assert(e.getCondition == "UNRESOLVED_ROUTINE", e)
   }
 }

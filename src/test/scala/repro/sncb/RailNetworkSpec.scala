@@ -76,12 +76,6 @@ class RailNetworkSpec extends SparkSpec {
     assert(Geo.distMeters(p0._1, p0._2, p3._1, p3._2) > 1000.0)
   }
 
-  test("zone ring encloses the zone centre") {
-    RailNetwork.all.foreach { z =>
-      assert(Geo.pointInPolygon(z.cLon, z.cLat, z.ring), s"zone ${z.zoneId}")
-    }
-  }
-
   test("zonesDf mirrors the catalogue") {
     val df = RailNetwork.zonesDf(spark)
     assert(df.count() == RailNetwork.all.size)
