@@ -51,6 +51,35 @@ class GeoSpec extends SparkSpec {
     })
   }
 
+  test("pointSegmentDist: point on segment is zero") {
+    assert(Geo.pointSegmentDistMeters(4.5, 50.8, 4.4, 50.8, 4.6, 50.8) < 1e-9)
+  }
+
+  test("pointSegmentDist: degenerate segment is point distance") {
+    val d1 = Geo.pointSegmentDistMeters(4.5, 50.8, 4.6, 50.9, 4.6, 50.9)
+    assert(math.abs(d1 - Geo.distMeters(4.5, 50.8, 4.6, 50.9)) < 1e-9)
+  }
+
+  test("pointSegmentDist: perpendicular foot inside segment") {
+    // Horizontal segment at lat 50.8, point 0.01 deg north of its middle.
+    val d = Geo.pointSegmentDistMeters(4.5, 50.81, 4.4, 50.8, 4.6, 50.8)
+    assert(math.abs(d - 0.01 * Geo.MetersPerDegLat) < 1e-6)
+  }
+
+  test("pointSegmentDist: clamps to nearest endpoint") {
+    val d = Geo.pointSegmentDistMeters(4.7, 50.8, 4.4, 50.8, 4.6, 50.8)
+    assert(math.abs(d - 0.1 * Geo.MetersPerDegLon) < 1e-6)
+  }
+
+  test("pointSegmentDist is never larger than either endpoint distance") {
+    val g = Gen.zip(Gen.choose(4.0, 5.0), Gen.choose(50.0, 51.0))
+    check(Prop.forAll(g, g, g) { case ((px, py), (ax, ay), (bx, by)) =>
+      val d = Geo.pointSegmentDistMeters(px, py, ax, ay, bx, by)
+      d <= Geo.distMeters(px, py, ax, ay) + 1e-9 &&
+        d <= Geo.distMeters(px, py, bx, by) + 1e-9
+    })
+  }
+
   test("pointInPolygon: center of unit square") {
     assert(Geo.pointInPolygon(0.5, 0.5, sq))
   }
