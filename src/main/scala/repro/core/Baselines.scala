@@ -4,13 +4,15 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
+import repro.sncb.{RailNetwork, TrainData}
 import repro.stream.Windows
 
 /** Naive baselines: the shape a user of a generic streaming engine
   * (Kafka/Flink per the paper's introduction) writes by hand without a
   * spatiotemporal library — every event tested against *every* zone by
   * generic point-in-polygon, no spatial index, no predicate pushdown
-  * before window replication, threshold windows as gaps and islands.
+  * before window replication, threshold windows as gaps and islands,
+  * weather by a join.
   *
   * Each baseline is semantically identical to its [[Geofencing]] /
   * [[Gcep]] counterpart (tests assert result equality); Table 2
@@ -65,6 +67,23 @@ object Baselines {
       .where(col("speed_kmh") > col("lim"))
       .select(col("id"), col("train"), col("ts_ms"), col("lon"), col("lat"),
         col("zone_id"), col("speed_kmh"), col("lim").as("suggested_kmh"))
+
+  /** Q4 baseline — same output as [[Geofencing.weatherSpeedZones]] for
+    * positions in the frame: each event joined to the weather of its
+    * cell and hour, the weather table broadcast. A NaN position falls in
+    * cell 0 here (`floor` makes NaN 0).
+    */
+  def weatherSpeedZones(events: DataFrame, weather: DataFrame): DataFrame = {
+    def cell(c: String, min: Double, size: Double) = floor((col(c) - min) / size).cast("int")
+    events.withColumn("cell_x", cell("lon", RailNetwork.LonMin, RailNetwork.CellLon))
+      .withColumn("cell_y", cell("lat", RailNetwork.LatMin, RailNetwork.CellLat))
+      .withColumn("hour_ms",
+        lit(TrainData.T0) + floor((col("ts_ms") - TrainData.T0) / 3600000L) * 3600000L)
+      .join(broadcast(weather), Seq("cell_x", "cell_y", "hour_ms"))
+      .withColumn("suggested_kmh", Geofencing.suggestedKmh)
+      .where(col("speed_kmh") > col("suggested_kmh"))
+      .select("id", "train", "ts_ms", "condition", "severity", "speed_kmh", "suggested_kmh")
+  }
 
   /** Gaps-and-islands annotation: for rows ordered by `tsMsCol` within
     * each key, assign an `island_id` that increments whenever `pred`

@@ -3,17 +3,19 @@ package repro.core
 import java.util.concurrent.ConcurrentMap
 
 import com.google.common.collect.MapMaker
-import org.apache.spark.sql.{classic, Column, DataFrame}
+import org.apache.spark.sql.{classic, Column, DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 
-import repro.meos.ZoneIndex
-import repro.sncb.{RailNetwork, TrainData, Zone}
+import repro.meos.{WeatherIndex, ZoneIndex}
+import repro.sncb.{RailNetwork, Zone}
 import repro.stream.Windows
 
 /** Geofencing queries Q1–Q4 (paper §3.1), MEOS-style: zone membership
   * is one stateless lookup column over the in-memory grid index
   * ([[repro.meos.ZoneIndex.zonesAt]]) — the geofence structure the
-  * paper's integration keeps inside the operator rather than in a join.
+  * paper's integration keeps inside the operator rather than in a join
+  * — and Q4's weather another, `st_weather` over the weather index
+  * ([[repro.meos.WeatherIndex]]).
   *
   * All functions are pure `DataFrame => DataFrame` transformations and
   * run unchanged on batch and streaming inputs.
@@ -21,29 +23,45 @@ import repro.stream.Windows
   */
 object Geofencing {
 
-  /** Catalogues of cached zone tables, keyed by the cache entry's
-    * builder. Keys are weak and compared by identity, so `unpersist()`
-    * or caching the table again drops the catalogue.
+  /** A value computed from a table: once per Spark cache entry if the
+    * table is cached, at every call otherwise. Values are keyed by the
+    * entry's builder, weakly and by identity, so `unpersist()` or
+    * caching the table again drops the value.
     */
-  private val catalogues: ConcurrentMap[AnyRef, Seq[Zone]] =
-    new MapMaker().weakKeys().makeMap()
+  private final class PerCacheEntry[A <: AnyRef] {
+    private val values: ConcurrentMap[AnyRef, A] = new MapMaker().weakKeys().makeMap()
+
+    def apply(table: DataFrame)(compute: => A): A = {
+      val cached = table match {
+        case d: classic.Dataset[_] => d.sparkSession.sharedState.cacheManager.lookupCachedData(d)
+        case _ => None
+      }
+      cached.fold(compute)(c =>
+        values.computeIfAbsent(c.cachedRepresentation.cacheBuilder, _ => compute))
+    }
+  }
+
+  private val catalogues = new PerCacheEntry[Seq[Zone]]
+  private val weatherTables = new PerCacheEntry[Column]
 
   /** A zone table in its catalogue form, every kind (zone tables are
     * small and static — the list seeds the grid index). A cached table
     * is collected once per cache entry; any other table at every call,
     * that is at every build of a plan over it.
     */
-  private[core] def zoneSeq(zones: DataFrame): Seq[Zone] = {
-    def collect(): Seq[Zone] =
-      zones.select("zone_id", "kind", "xmin", "xmax", "ymin", "ymax", "lim")
-        .collect().toSeq.map(r => Zone(r.getInt(0), r.getString(1), r.getDouble(2),
-          r.getDouble(3), r.getDouble(4), r.getDouble(5), r.getDouble(6)))
-    val cached = zones match {
-      case d: classic.Dataset[_] => d.sparkSession.sharedState.cacheManager.lookupCachedData(d)
-      case _ => None
-    }
-    cached.fold(collect())(c =>
-      catalogues.computeIfAbsent(c.cachedRepresentation.cacheBuilder, _ => collect()))
+  private[core] def zoneSeq(zones: DataFrame): Seq[Zone] = catalogues(zones) {
+    zones.select("zone_id", "kind", "xmin", "xmax", "ymin", "ymax", "lim")
+      .collect().toSeq.map(r => Zone(r.getInt(0), r.getString(1), r.getDouble(2),
+        r.getDouble(3), r.getDouble(4), r.getDouble(5), r.getDouble(6)))
+  }
+
+  /** A weather table as the constant table of `st_weather`, collected
+    * as [[zoneSeq]] collects a zone table.
+    */
+  private def weatherLit(weather: DataFrame): Column = weatherTables(weather) {
+    val entry = Encoders.product[WeatherIndex.Entry]
+    typedLit(weather.select(entry.schema.map(f => col(f.name).cast(f.dataType)): _*)
+      .as(entry).collect().toSeq)
   }
 
   /** The zones of `kinds` containing (lon, lat), as the
@@ -97,30 +115,38 @@ object Geofencing {
       .select(col("id"), col("train"), col("ts_ms"), col("lon"), col("lat"),
         col("z.zone_id"), col("speed_kmh"), col("z.lim").as("suggested_kmh"))
 
-  /** Q4 — Weather-Based Speed Zones: join each event to the weather
-    * condition of its grid cell for its hour; suggest a condition- and
-    * severity-dependent limit and emit events exceeding it. The weather
-    * table is small and is broadcast, so events are never shuffled.
+  /** Q4 — Weather-Based Speed Zones: look up the weather condition of
+    * each event's grid cell for its hour; suggest a condition- and
+    * severity-dependent limit and emit events exceeding it. The lookup
+    * is `st_weather` over the weather table, collected on the driver
+    * when the plan is built as [[weatherLit]] says, so events are never
+    * shuffled or joined. An event gets one row per weather row of its
+    * cell and hour, as an inner join would give it; a NaN, null or
+    * infinite position, or a cell or hour the table lacks, gets none.
     *
     * Output: id, train, ts_ms, condition, severity, speed_kmh, suggested_kmh.
     */
   def weatherSpeedZones(events: DataFrame, weather: DataFrame): DataFrame = {
-    val ev = events
-      .withColumn("cell_x",
-        floor((col("lon") - RailNetwork.LonMin) / RailNetwork.CellLon).cast("int"))
-      .withColumn("cell_y",
-        floor((col("lat") - RailNetwork.LatMin) / RailNetwork.CellLat).cast("int"))
-      .withColumn("hour_ms",
-        lit(TrainData.T0) +
-          floor((col("ts_ms") - TrainData.T0) / 3600000L) * 3600000L)
-    val base = when(col("condition") === 0, 130.0)
-      .when(col("condition") === 1, 100.0)
-      .when(col("condition") === 3, 80.0)
-      .otherwise(60.0)
-    ev.join(broadcast(weather), Seq("cell_x", "cell_y", "hour_ms"))
-      .withColumn("suggested_kmh", base * (lit(1.0) - col("severity") * 0.3))
+    // The cell of a coordinate; null for NaN (`floor` would make it 0)
+    // and beyond the int range.
+    def cell(c: String, min: Double, size: Double): Column =
+      floor((nanvl(col(c), lit(null)) - min) / size).try_cast("int")
+    // The start of the event's hour (`TrainData.T0` is on the hour),
+    // computed in doubles, which hold every millisecond timestamp
+    // exactly: no overflow-checked long arithmetic per event.
+    val hour = (floor(col("ts_ms") / 3600000L) * 3600000.0).cast("long")
+    val w = call_function("st_weather", cell("lon", RailNetwork.LonMin, RailNetwork.CellLon),
+      cell("lat", RailNetwork.LatMin, RailNetwork.CellLat), hour, weatherLit(weather))
+    events.withColumn("w", explode(w))
+      .select(col("id"), col("train"), col("ts_ms"), col("w.condition"), col("w.severity"),
+        col("speed_kmh"))
+      .withColumn("suggested_kmh", suggestedKmh)
       .where(col("speed_kmh") > col("suggested_kmh"))
-      .select("id", "train", "ts_ms", "condition", "severity",
-        "speed_kmh", "suggested_kmh")
   }
+
+  /** Q4's limit for a weather `condition` and `severity`. */
+  private[core] val suggestedKmh: Column = when(col("condition") === 0, 130.0)
+    .when(col("condition") === 1, 100.0)
+    .when(col("condition") === 3, 80.0)
+    .otherwise(60.0) * (lit(1.0) - col("severity") * 0.3)
 }

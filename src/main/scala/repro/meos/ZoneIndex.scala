@@ -57,15 +57,19 @@ object ZoneIndex {
     for (cx <- cellX(z.xmin).toLong to cellX(z.xmax).toLong;
          cy <- cellY(z.ymin).toLong to cellY(z.ymax).toLong) yield cx * 10000 + cy
 
-  /** The index in memory over primitive arrays: `cells` holds, for each
-    * cell of the catalogue's cell range (`nx` x `ny` cells from
+  /** The index in memory over flat primitive arrays: `cells` holds, for
+    * each cell of the catalogue's cell range (`nx` x `ny` cells from
     * (`x0`, `y0`)), the indices of the zones overlapping it; `bounds`
-    * holds xmin, xmax, ymin, ymax per zone and `rows` each zone's
-    * prebuilt (zone_id, lim) result row.
+    * holds xmin, xmax, ymin, ymax per zone, and `ids` and `lims` each
+    * zone's result.
     */
-  final class Grid private (x0: Double, y0: Double, nx: Int, ny: Int,
-                            cells: Array[Array[Int]], bounds: Array[Double],
-                            rows: Array[InternalRow]) extends Serializable {
+  final class Grid private (x0: Double, y0: Double, nx: Int, ny: Int, cells: Slots,
+                            bounds: Array[Double], ids: Array[Int], lims: Array[Double])
+      extends Serializable {
+
+    /** Each zone's (zone_id, lim) result row, built once per deserialized copy. */
+    @transient private lazy val rows: Array[InternalRow] = Array.tabulate(ids.length)(z =>
+      new GenericInternalRow(Array[Any](ids(z), lims(z))))
 
     private def contains(z: Int, lon: Double, lat: Double): Boolean =
       lon >= bounds(4 * z) && lon <= bounds(4 * z + 1) &&
@@ -79,20 +83,20 @@ object ZoneIndex {
     def at(lon: Double, lat: Double): ArrayData = {
       val cx = cellX(lon) - x0
       val cy = cellY(lat) - y0
-      if (!(cx >= 0 && cx < nx && cy >= 0 && cy < ny)) return Grid.Empty
-      val candidates = cells(cx.toInt * ny + cy.toInt)
+      if (!(cx >= 0 && cx < nx && cy >= 0 && cy < ny)) return Slots.NoMatch
+      val c = cx.toInt * ny + cy.toInt
       var n = 0
-      var i = 0
-      while (i < candidates.length) {
-        if (contains(candidates(i), lon, lat)) n += 1
+      var i = cells.starts(c)
+      while (i < cells.starts(c + 1)) {
+        if (contains(cells.ids(i), lon, lat)) n += 1
         i += 1
       }
-      if (n == 0) return Grid.Empty
+      if (n == 0) return Slots.NoMatch
       val out = new Array[Any](n)
       n = 0
-      i = 0
-      while (i < candidates.length) {
-        val z = candidates(i)
+      i = cells.starts(c)
+      while (i < cells.starts(c + 1)) {
+        val z = cells.ids(i)
         if (contains(z, lon, lat)) { out(n) = rows(z); n += 1 }
         i += 1
       }
@@ -101,33 +105,30 @@ object ZoneIndex {
   }
 
   object Grid {
-    private val Empty: ArrayData = new GenericArrayData(Array.empty[Any])
-
     /** Build the grid of a [[CatalogueType]] value (null: no zones).
       * Zones with empty rectangles are left out: no point lies in them.
       */
     def apply(catalogue: ArrayData): Grid = {
-      val zs = if (catalogue == null) Array.empty[InternalRow]
-        else (0 until catalogue.numElements()).filterNot(catalogue.isNullAt)
-          .map(catalogue.getStruct(_, 6)).toArray
-      val bounds = zs.flatMap(z => (1 to 4).map(z.getDouble))
-      val rows = zs.map(z =>
-        new GenericInternalRow(Array[Any](z.getInt(0), z.getDouble(5))): InternalRow)
-      // (zone, first and last cell column, first and last cell row)
-      val spans = zs.indices
-        .filter(i => bounds(4 * i) <= bounds(4 * i + 1) && bounds(4 * i + 2) <= bounds(4 * i + 3))
-        .map(i => (i, cellX(bounds(4 * i)), cellX(bounds(4 * i + 1)),
-          cellY(bounds(4 * i + 2)), cellY(bounds(4 * i + 3))))
-      if (spans.isEmpty) return new Grid(0, 0, 0, 0, Array.empty, bounds, rows)
-      val (x0, y0) = (spans.map(_._2).min, spans.map(_._4).min)
-      val nx = (spans.map(_._3).max - x0).toInt + 1
-      val ny = (spans.map(_._5).max - y0).toInt + 1
-      val byCell = (for ((i, zx0, zx1, zy0, zy1) <- spans;
-                         cx <- (zx0 - x0).toInt to (zx1 - x0).toInt;
-                         cy <- (zy0 - y0).toInt to (zy1 - y0).toInt) yield (cx * ny + cy, i))
-        .groupMap(_._1)(_._2)
-      val cells = Array.tabulate(nx * ny)(c => byCell.get(c).fold(Array.emptyIntArray)(_.toArray))
-      new Grid(x0, y0, nx, ny, cells, bounds, rows)
+      val zs = Slots.structs(catalogue, 6)
+      val bounds = new Array[Double](4 * zs.length)
+      for (z <- zs.indices; j <- 0 until 4) bounds(4 * z + j) = zs(z).getDouble(j + 1)
+      def live(z: Int) =
+        bounds(4 * z) <= bounds(4 * z + 1) && bounds(4 * z + 2) <= bounds(4 * z + 3)
+      // the catalogue's cell range: columns x0 to x1, rows y0 to y1
+      var (x0, x1, y0, y1) = (Double.MaxValue, Double.MinValue, Double.MaxValue, Double.MinValue)
+      for (z <- zs.indices) if (live(z)) {
+        x0 = x0 min cellX(bounds(4 * z)); x1 = x1 max cellX(bounds(4 * z + 1))
+        y0 = y0 min cellY(bounds(4 * z + 2)); y1 = y1 max cellY(bounds(4 * z + 3))
+      }
+      val (nx, ny) = if (x0 > x1) (0, 0) else ((x1 - x0).toInt + 1, (y1 - y0).toInt + 1)
+      val cells = Slots(nx * ny, zs.length) { (z, add) =>
+        if (live(z)) {
+          for (cx <- (cellX(bounds(4 * z)) - x0).toInt to (cellX(bounds(4 * z + 1)) - x0).toInt;
+               cy <- (cellY(bounds(4 * z + 2)) - y0).toInt to (cellY(bounds(4 * z + 3)) - y0).toInt)
+            add(cx * ny + cy)
+        }
+      }
+      new Grid(x0, y0, nx, ny, cells, bounds, zs.map(_.getInt(0)), zs.map(_.getDouble(5)))
     }
   }
 
@@ -160,4 +161,36 @@ object ZoneIndex {
       .join(index, Seq("cell_id"))
       .where(expr("st_in_box(lon, lat, xmin, xmax, ymin, ymax)"))
       .drop("cell_id", "xmin", "xmax", "ymin", "ymax")
+}
+
+/** Entries grouped by slot in two flat arrays, the layout of the indexes
+  * the lookup expressions keep: slot `s` holds the entries `ids(i)` for
+  * `i` from `starts(s)` until `starts(s + 1)`.
+  */
+final class Slots private (val starts: Array[Int], val ids: Array[Int]) extends Serializable
+
+object Slots {
+  /** The result of a lookup that matches nothing. */
+  val NoMatch: ArrayData = new GenericArrayData(Array.empty[Any])
+
+  /** The elements of an array of structs with `fields` fields that are
+    * not null (null: no elements).
+    */
+  def structs(array: ArrayData, fields: Int): Array[InternalRow] =
+    Array.tabulate(if (array == null) 0 else array.numElements())(i =>
+      if (array.isNullAt(i)) null else array.getStruct(i, fields)).filter(_ != null)
+
+  /** Group entries `0 until n` into `count` slots: `cover(e, add)` calls
+    * `add(s)` for every slot `s` of entry `e`, once to count each slot's
+    * entries and once to place them.
+    */
+  def apply(count: Int, n: Int)(cover: (Int, Int => Unit) => Unit): Slots = {
+    val starts = new Array[Int](count + 1)
+    for (e <- 0 until n) cover(e, s => starts(s + 1) += 1)
+    for (s <- 0 until count) starts(s + 1) += starts(s)
+    val ids = new Array[Int](starts(count))
+    val next = java.util.Arrays.copyOf(starts, count)
+    for (e <- 0 until n) cover(e, s => { ids(next(s)) = e; next(s) += 1 })
+    new Slots(starts, ids)
+  }
 }

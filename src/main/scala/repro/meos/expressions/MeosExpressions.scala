@@ -9,7 +9,7 @@ import org.apache.spark.sql.catalyst.expressions.objects.{Invoke, StaticInvoke}
 import org.apache.spark.sql.catalyst.util.ArrayData
 import org.apache.spark.sql.types._
 
-import repro.meos.{Geo, ZoneIndex}
+import repro.meos.{Geo, WeatherIndex, ZoneIndex}
 
 /** Catalyst expressions mirroring NebulaMEOS's custom operators.
   *
@@ -22,13 +22,14 @@ import repro.meos.{Geo, ZoneIndex}
   * [[GeoCall]]s: the optimizer replaces each with a call to the
   * [[repro.meos.Geo]] function that defines it, which runs inside
   * whole-stage codegen and answers exactly as the Scala code does. The
-  * geofence lookup `st_zones` keeps its own `doGenCode`, because it
-  * builds its grid once per expression instance. It is the lookup
-  * behind [[repro.meos.ZoneIndex.zonesAt]], so that column needs this
-  * registration on the session.
+  * geofence lookup `st_zones` and the weather lookup `st_weather` are
+  * [[TableLookup]]s with their own `doGenCode`, because each builds an
+  * index of its constant table once per expression instance. They are
+  * the lookups behind [[repro.meos.ZoneIndex.zonesAt]] and Q4, so those
+  * need this registration on the session.
   *
-  * All yield null when a point coordinate or an operand is null;
-  * `st_zones` reads a null catalogue as an empty one.
+  * All yield null when a point coordinate, an operand or a key is null;
+  * the lookups read a null table as an empty one.
   */
 sealed abstract class GeoCall(override val prettyName: String, fn: String, resultType: DataType)
     extends RuntimeReplaceable with ExpectsInputTypes {
@@ -110,59 +111,85 @@ case class StPointInPoly(children: Seq[Expression])
     copy(children = c)
 }
 
-/** `st_zones(lon, lat, catalogue)` — every zone of a constant catalogue
-  * (a [[repro.meos.ZoneIndex.CatalogueType]] value) whose closed
-  * rectangle contains the point, as `array<struct<zone_id:int,
-  * lim:double>>`: the geofence lookup as one engine expression over the
-  * primitive [[repro.meos.ZoneIndex.Grid]], built once per expression
-  * instance. Null lon or lat yields null; NaN or a position outside
-  * every zone yields an empty array.
+/** A lookup of its keys, every operand but the last, in the constant
+  * table that is the last operand, through an index of the table built
+  * once per expression instance: null when a key is null, else the
+  * index's `at(keys)`, in generated code as in `eval`. Analysis rejects
+  * a table that is not a constant; plans name the table by its size.
   */
-case class StZones(children: Seq[Expression])
-    extends Expression with ImplicitCastInputTypes {
-  require(children.length == 3, "st_zones(lon, lat, catalogue)")
-  override def prettyName: String = "st_zones"
-  override def inputTypes: Seq[DataType] =
-    Seq(DoubleType, DoubleType, ZoneIndex.CatalogueType)
-  override def dataType: DataType = ZoneIndex.ZonesType
-  override def nullable: Boolean = children(0).nullable || children(1).nullable
+sealed abstract class TableLookup(override val prettyName: String, keyTypes: Seq[DataType],
+                                  tableType: DataType, override val dataType: DataType)
+    extends Expression with ImplicitCastInputTypes with Serializable {
+  /** The index of the table; its `at` method takes the keys. */
+  protected def index: AnyRef
+  /** `index.at(keys)`, for keys that are not null. */
+  protected def at(keys: Seq[Any]): Any
+  /** The table's constant value; null reads as an empty table. */
+  protected def table: ArrayData = children.last.eval().asInstanceOf[ArrayData]
+
+  override def inputTypes: Seq[DataType] = keyTypes :+ tableType
+  override def nullable: Boolean = children.init.exists(_.nullable)
 
   override def checkInputDataTypes(): TypeCheckResult = super.checkInputDataTypes() match {
-    case TypeCheckResult.TypeCheckSuccess if !children(2).foldable =>
+    case TypeCheckResult.TypeCheckSuccess if !children.last.foldable =>
       TypeCheckResult.TypeCheckFailure(
-        s"st_zones catalogue must be a constant, got ${children(2).sql}")
+        s"$prettyName table must be a constant, got ${children.last.sql}")
     case result => result
   }
 
-  /** Plans name the catalogue by its size: it can hold thousands of zones. */
-  override def toString: String = children(2) match {
-    case Literal(zones: ArrayData, _) =>
-      s"$prettyName(${children(0)}, ${children(1)}, ${zones.numElements()} zones)"
-    case catalogue => s"$prettyName(${children(0)}, ${children(1)}, $catalogue)"
+  override def toString: String = children.last match {
+    case Literal(rows: ArrayData, _) =>
+      s"$prettyName(${children.init.mkString(", ")}, ${rows.numElements()} rows)"
+    case _ => s"$prettyName(${children.mkString(", ")})"
   }
 
-  @transient private lazy val grid =
-    ZoneIndex.Grid(children(2).eval().asInstanceOf[ArrayData])
-
   override def eval(input: InternalRow): Any = {
-    val lon = children(0).eval(input)
-    val lat = children(1).eval(input)
-    if (lon == null || lat == null) null
-    else grid.at(lon.asInstanceOf[Double], lat.asInstanceOf[Double])
+    val keys = children.init.map(_.eval(input))
+    if (keys.contains(null)) null else at(keys)
   }
 
   override protected def doGenCode(ctx: CodegenContext, ev: ExprCode): ExprCode = {
-    val g = ctx.addReferenceObj("zoneGrid", grid)
-    val lon = children(0).genCode(ctx)
-    val lat = children(1).genCode(ctx)
+    val idx = ctx.addReferenceObj(s"${prettyName}Index", index)
+    val keys = children.init.map(_.genCode(ctx))
     ev.copy(code = code"""
-      ${lon.code}
-      ${lat.code}
-      boolean ${ev.isNull} = ${lon.isNull} || ${lat.isNull};
+      ${keys.map(_.code).reduce(_ + _)}
+      boolean ${ev.isNull} = ${keys.map(_.isNull).mkString(" || ")};
       ${CodeGenerator.javaType(dataType)} ${ev.value} =
-        ${ev.isNull} ? null : $g.at(${lon.value}, ${lat.value});""")
+        ${ev.isNull} ? null : $idx.at(${keys.map(_.value).mkString(", ")});""")
   }
+}
 
+/** `st_zones(lon, lat, catalogue)` — every zone of a constant catalogue
+  * (a [[repro.meos.ZoneIndex.CatalogueType]] value) whose closed
+  * rectangle contains the point, as `array<struct<zone_id:int,
+  * lim:double>>`, from the primitive [[repro.meos.ZoneIndex.Grid]]. Null
+  * lon or lat yields null; NaN or a position outside every zone yields
+  * an empty array.
+  */
+case class StZones(children: Seq[Expression]) extends TableLookup("st_zones",
+    Seq(DoubleType, DoubleType), ZoneIndex.CatalogueType, ZoneIndex.ZonesType) {
+  require(children.length == 3, "st_zones(lon, lat, catalogue)")
+  @transient override protected lazy val index: ZoneIndex.Grid = ZoneIndex.Grid(table)
+  override protected def at(keys: Seq[Any]): Any =
+    index.at(keys(0).asInstanceOf[Double], keys(1).asInstanceOf[Double])
+  override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
+    copy(children = c)
+}
+
+/** `st_weather(cell_x, cell_y, hour_ms, table)` — the weather of a cell
+  * and hour in a constant table (a [[repro.meos.WeatherIndex.TableType]]
+  * value), as `array<struct<condition:int, severity:double>>`: one
+  * element per row with that cell and hour, as an inner join on the
+  * three keys matches them, from the primitive
+  * [[repro.meos.WeatherIndex.Index]]. A null key yields null; a cell or
+  * hour the table lacks, an empty array.
+  */
+case class StWeather(children: Seq[Expression]) extends TableLookup("st_weather",
+    Seq(IntegerType, IntegerType, LongType), WeatherIndex.TableType, WeatherIndex.ResultType) {
+  require(children.length == 4, "st_weather(cell_x, cell_y, hour_ms, table)")
+  @transient override protected lazy val index: WeatherIndex.Index = WeatherIndex.Index(table)
+  override protected def at(keys: Seq[Any]): Any =
+    index.at(keys(0).asInstanceOf[Int], keys(1).asInstanceOf[Int], keys(2).asInstanceOf[Long])
   override protected def withNewChildrenInternal(c: IndexedSeq[Expression]): Expression =
     copy(children = c)
 }

@@ -12,8 +12,8 @@ import org.scalatest.funsuite.AnyFunSuite
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (4g when unset). Automatic broadcast joins are
   * disabled so the joins without a broadcast hint (the naive baselines'
-  * zone cross joins) take the shuffle path at every scale factor; Q4
-  * broadcasts its weather table by hint.
+  * zone cross joins) take the shuffle path at every scale factor; the
+  * Q4 baseline broadcasts its weather table by hint.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

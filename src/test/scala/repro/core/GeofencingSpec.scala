@@ -5,11 +5,15 @@ import java.util.concurrent.{CountDownLatch, Executors, LinkedBlockingQueue, Tim
 
 import org.apache.commons.io.FileUtils
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec, SortMergeJoinExec}
+import org.apache.spark.sql.{AnalysisException, Column, DataFrame, Encoder, Encoders}
+import org.apache.spark.sql.execution.{InputAdapter, SparkPlan, WholeStageCodegenExec}
+import org.apache.spark.sql.execution.exchange.{BroadcastExchangeExec, Exchange}
+import org.apache.spark.sql.execution.joins.BaseJoinExec
+import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, OracleSql, RowCompare, SparkSpec, TestData}
+import repro.meos.expressions.StWeather
 import repro.sncb.{RailNetwork, TrainData, Zone}
 
 /** Q1–Q4 against the DuckDB oracle (rectangles → plain arithmetic) and
@@ -161,12 +165,93 @@ class GeofencingSpec extends SparkSpec {
     assert(q4.where(col("speed_kmh") <= col("suggested_kmh")).count() == 0)
   }
 
-  test("Q4 broadcasts the weather table with automatic broadcast off") {
-    assert(spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1")
-    val joins = executedNodes(Geofencing.weatherSpeedZones(ev, weather))
-      .collect { case j: BaseJoinExec => j }
-    assert(joins.exists(_.isInstanceOf[BroadcastHashJoinExec]), joins)
-    assert(!joins.exists(_.isInstanceOf[SortMergeJoinExec]), joins)
+  test("Q4 looks its weather up inside whole-stage codegen: no join, exchange or broadcast") {
+    val nodes = executedNodes(Geofencing.weatherSpeedZones(ev, weather))
+    assert(!nodes.exists(n => n.isInstanceOf[BaseJoinExec] || n.isInstanceOf[Exchange] ||
+      n.isInstanceOf[BroadcastExchangeExec]), nodes)
+    def stage(p: SparkPlan): Seq[SparkPlan] = p match {
+      case _: InputAdapter => Nil
+      case _ => p +: p.children.flatMap(stage)
+    }
+    val compiled = nodes.collect { case w: WholeStageCodegenExec => stage(w.child) }.flatten
+    val lookups = nodes.filter(_.expressions.exists(_.exists(_.isInstanceOf[StWeather])))
+    assert(lookups.nonEmpty && lookups.forall(compiled.contains), nodes)
+  }
+
+  test("Q4 gives no weather to NaN, null, infinite and off-frame positions") {
+    // One event, at 200 km/h so that any weather flags it, at its own
+    // position and at positions that have no weather cell.
+    val first = ev.orderBy("id").limit(1).withColumn("speed_kmh", lit(200.0))
+    val r = first.head()
+    val positions = Seq[(Column, Column)]((col("lon"), col("lat")),
+      (lit(Double.NaN), col("lat")), (col("lon"), lit(Double.NaN)),
+      (lit(null).cast("double"), col("lat")), (col("lon"), lit(null).cast("double")),
+      (lit(Double.PositiveInfinity), col("lat")), (col("lon"), lit(Double.NegativeInfinity)),
+      (lit(1e12), col("lat")), (col("lon"), lit(-1e12)), (lit(3.5), lit(50.0)))
+    val events = positions.zipWithIndex.map { case ((lon, lat), i) =>
+      first.withColumn("id", col("id") + i).withColumn("lon", lon).withColumn("lat", lat)
+    }.reduce(_ union _)
+    val (lon, lat) = (r.getAs[Double]("lon"), r.getAs[Double]("lat"))
+    val w = weather.where(
+      col("cell_x") === math.floor((lon - RailNetwork.LonMin) / RailNetwork.CellLon).toInt &&
+      col("cell_y") === math.floor((lat - RailNetwork.LatMin) / RailNetwork.CellLat).toInt &&
+      col("hour_ms") === r.getAs[Long]("ts_ms") / 3600000L * 3600000L).head()
+    val (condition, severity) = (w.getAs[Int]("condition"), w.getAs[Double]("severity"))
+    val cap = Map(0 -> 130.0, 1 -> 100.0, 3 -> 80.0).getOrElse(condition, 60.0)
+    val want = Seq(Seq[Any](r.getAs[Long]("id"), r.getAs[Int]("train"), r.getAs[Long]("ts_ms"),
+      condition, severity, 200.0, cap * (1.0 - severity * 0.3)))
+    Seq("CODEGEN_ONLY", "NO_CODEGEN").foreach { mode => withCodegen(mode) {
+      val got = Geofencing.weatherSpeedZones(events, weather).collect().map(_.toSeq).toSeq
+      assert(got == want, mode)
+    } }
+  }
+
+  test("Q4 equals the broadcast-join baseline on missing, duplicate, unaligned and no weather") {
+    val all = Baselines.weatherSpeedZones(ev, weather).count()
+    val tables = Seq(
+      ("TestData.weather", weather, (n: Long) => n == all),
+      ("missing cells and hours", weather.where(col("cell_x") =!= 3 &&
+        !(col("cell_y") % 2 === 0 && col("hour_ms") === TrainData.T0)), (n: Long) => n < all),
+      ("duplicate keys", weather.union(weather.where(col("cell_x") < 5)
+        .withColumn("condition", (col("condition") + 1) % 4)
+        .withColumn("severity", lit(1.0) - col("severity"))), (n: Long) => n > all),
+      ("hours not on the hour", weather.withColumn("hour_ms",
+        when(col("cell_x") % 2 === 0, col("hour_ms") + 60000L).otherwise(col("hour_ms"))),
+        (n: Long) => n < all),
+      ("no rows", weather.limit(0), (n: Long) => n == 0))
+    tables.foreach { case (name, table, size) =>
+      val want = Baselines.weatherSpeedZones(ev, table)
+      assert(size(want.count()), s"$name: ${want.count()} rows against $all")
+      Seq("CODEGEN_ONLY", "NO_CODEGEN").foreach(withCodegen(_)(
+        RowCompare.assertSameRows(Geofencing.weatherSpeedZones(ev, table), want)))
+    }
+  }
+
+  test("st_weather rejects a table that is not a constant") {
+    val table = spark.range(1).select(array(struct(col("id").cast("int").as("cell_x"),
+      lit(0).as("cell_y"), lit(TrainData.T0).as("hour_ms"), lit(0).as("condition"),
+      lit(0.5).as("severity"))).as("table"))
+    val e = intercept[AnalysisException](
+      table.selectExpr(s"st_weather(0, 0, ${TrainData.T0}L, table)"))
+    assert(e.getMessage.contains("must be a constant"), e.getMessage)
+  }
+
+  test("Q4 runs one Spark job per batch execution and per micro-batch") {
+    val batch = Geofencing.weatherSpeedZones(ev, weather) // builds the plan
+    assert(jobsOf(batch.write.format("noop").mode("overwrite").save()) == 1)
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    implicit val encoder: Encoder[SensorEvent] = Encoders.product[SensorEvent]
+    val source = MemoryStream[SensorEvent]
+    val query = Geofencing.weatherSpeedZones(source.toDF(), weather)
+      .writeStream.format("noop").start()
+    try {
+      val chunks = ev.orderBy("ts_ms", "train").as[SensorEvent].collect().toSeq.grouped(4000).toSeq
+      // A streaming query runs its jobs under its run id as job group.
+      val jobs = jobsOf(chunks.foreach { c => source.addData(c); query.processAllAvailable() },
+        group = query.runId.toString)
+      assert(query.recentProgress.count(_.numInputRows > 0) == chunks.size)
+      assert(jobs == chunks.size, s"$jobs jobs for ${chunks.size} micro-batches")
+    } finally query.stop()
   }
 
   test("Q4 snow caps are the strictest") {
@@ -176,12 +261,13 @@ class GeofencingSpec extends SparkSpec {
 
   // ------------------------------------------------ zone catalogues ----
 
-  /** The Spark jobs `body` starts from this thread. They run under a
-    * job group of their own; a marker job run after `body` shows when
-    * the listener bus has delivered every job started before it.
+  /** The Spark jobs `body` starts whose job group is `group`: the group
+    * `body` runs under (by default one of its own) or, for the jobs of a
+    * streaming query, the query's. A marker job run after `body` shows
+    * when the listener bus has delivered every job started before it.
     */
-  private def jobsOf(body: => Unit): Int = {
-    val group = s"zone-catalogue-${java.util.UUID.randomUUID}"
+  private def jobsOf(body: => Unit,
+                     group: String = s"zone-catalogue-${java.util.UUID.randomUUID}"): Int = {
     val marker = s"$group-marker"
     val seen = new LinkedBlockingQueue[String]()
     val listener = new SparkListener {
@@ -239,6 +325,30 @@ class GeofencingSpec extends SparkSpec {
         assert(jobsOf(build()) == 1, s"$q, second build")
       }
     }
+    // Q4's weather table, the same way, and again after a rewrite.
+    val dir = Files.createTempDirectory("weather")
+    try {
+      val path = dir.resolve("weather.parquet").toString
+      TrainData.weather(spark, hours = 4, seed = 5).write.parquet(path)
+      def q4(w: DataFrame) = Geofencing.weatherSpeedZones(ev, w)
+      val uncached = spark.read.parquet(path)
+      assert(jobsOf(q4(uncached)) == 1 && jobsOf(q4(uncached)) == 1, "Q4, uncached")
+      val before = spark.read.parquet(path).cache()
+      val kept = try {
+        assert(jobsOf(q4(before)) == 1, "Q4, first build")
+        assert(jobsOf(q4(before)) == 0, "Q4 rebuilt")
+        RowCompare.canon(q4(before))
+      } finally before.unpersist(blocking = true)
+      TrainData.weather(spark, hours = 4, seed = 5)
+        .withColumn("condition", lit(2)).withColumn("severity", lit(0.9))
+        .write.mode("overwrite").parquet(path)
+      val after = spark.read.parquet(path).cache()
+      try {
+        assert(jobsOf(q4(after)) == 1, "Q4, first build after the rewrite")
+        RowCompare.assertSameRows(q4(after), Baselines.weatherSpeedZones(ev, after))
+        assert(RowCompare.canon(q4(after)) != kept)
+      } finally after.unpersist(blocking = true)
+    } finally FileUtils.deleteDirectory(dir.toFile)
   }
 
   test("Q1 reads the rewritten zone table after unpersist and cache again") {
