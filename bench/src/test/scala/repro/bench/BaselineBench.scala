@@ -1,24 +1,64 @@
 package repro.bench
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
+import repro.core.{Baselines, Gcep, Geofencing, NebulaMeos}
+import repro.sncb.{RailNetwork, TrainData}
 
 /** Table 2 — MEOS-style spatial pruning vs the naive generic-engine
-  * baseline (cross-join + generic point-in-polygon, no pushdown).
+  * baseline (cross-join + generic point-in-polygon, no pushdown), as
+  * batch wall-clock over the SF=0.05 stream (300K events).
   *
   * The paper's qualitative claim: integrating spatiotemporal operators
   * into the engine (instead of custom code on Kafka/Flink) avoids
   * "complexity and resource overhead". The reproduced quantitative
-  * shape: every MEOS-style query is at least as fast as its naive
-  * twin, and the zone-membership queries are several times faster.
+  * shape: the naive plans take longer in total, and the pure
+  * zone-membership queries (Q1, Q3) win on their own.
   */
 class BaselineBench extends SparkSpec {
 
-  private val sf = sys.env.getOrElse("BENCH_BASELINE_SF", "0.05").toDouble
+  private val sf = 0.05
+  private val nSyntheticZones = 2000
+
+  /** Wall-clock of a batch plan: the least of two runs, output forced
+    * with a noop write so no collect cost is included.
+    */
+  private def seconds(df: DataFrame): Double =
+    (1 to 2).map { _ =>
+      val t0 = System.nanoTime()
+      df.write.format("noop").mode("overwrite").save()
+      (System.nanoTime() - t0) / 1e9
+    }.min
 
   test("Table 2: MEOS-style vs naive baseline wall-clock") {
-    val (ev, zones, _) = Harness.inputs(spark, sf)
-    val rows = Harness.runT2(spark, ev, zones)
-    println(Harness.formatT2(rows, sf))
+    NebulaMeos.setup(spark)
+    val ev = TrainData.events(spark, sf).cache()
+    ev.count()
+    val zones = RailNetwork.zonesDf(spark).cache()
+    zones.count()
+    // The zone-membership queries run against an enlarged catalogue,
+    // the realistic regime for a geofencing service; Q7 and Q8 keep the
+    // base catalogue (their cost is the window machinery, not the zones).
+    val big = RailNetwork.toDf(spark,
+      RailNetwork.all ++ RailNetwork.syntheticZones(nSyntheticZones)).cache()
+    big.count()
+    val nZones = RailNetwork.all.size + nSyntheticZones
+    val rows = Seq(
+      (s"Q1 alerts ($nZones zones)", Geofencing.alertFiltering(ev, big),
+        Baselines.alertFiltering(ev, big)),
+      (s"Q2 noise ($nZones zones)", Geofencing.noiseMonitoring(ev, big),
+        Baselines.noiseMonitoring(ev, big)),
+      (s"Q3 speed ($nZones zones)", Geofencing.dynamicSpeedLimit(ev, big),
+        Baselines.dynamicSpeedLimit(ev, big)),
+      ("Q7 unscheduled stops", Gcep.unscheduledStops(ev, zones),
+        Baselines.unscheduledStops(ev, zones)),
+      ("Q8 brake patterns", Gcep.brakePatterns(ev), Baselines.brakePatterns(ev))
+    ).map { case (label, meos, naive) => (label, seconds(meos), seconds(naive)) }
+
+    println(f"%nTable 2 — MEOS-style vs naive baseline (batch wall-clock, SF=$sf)")
+    println(f"${"query"}%-26s ${"meos s"}%9s ${"naive s"}%9s ${"speedup"}%8s")
+    rows.foreach { case (label, m, n) => println(f"$label%-26s $m%9.2f $n%9.2f ${n / m}%7.1fx") }
 
     rows.foreach { case (label, m, n) =>
       assert(m > 0 && n > 0, s"$label: non-positive timing")
@@ -29,9 +69,15 @@ class BaselineBench extends SparkSpec {
     assert(naiveTotal > meosTotal,
       f"naive ($naiveTotal%.1fs) should be slower than MEOS-style ($meosTotal%.1fs)")
     // The pure zone-membership queries (Q1, Q3) must show a clear win.
-    val zoneWins = rows.filter(r => r._1.startsWith("Q1") || r._1.startsWith("Q3"))
-    zoneWins.foreach { case (label, m, n) =>
-      assert(n > m, s"$label: expected the naive cross-join to be slower")
+    rows.filter(r => r._1.startsWith("Q1") || r._1.startsWith("Q3")).foreach {
+      case (label, m, n) => assert(n > m, s"$label: expected the naive cross-join to be slower")
     }
+
+    // Shape check vs the paper: the passenger-load query (Q6, the
+    // paper's fastest at 32K e/s) must outrun the battery query (Q5,
+    // the slowest family at 8K e/s) in batch form.
+    val (q5, q6) = (seconds(Gcep.batteryMonitoring(ev, zones)), seconds(Gcep.heavyPassengerLoad(ev)))
+    println(f"batch Q5 $q5%.2f s, Q6 $q6%.2f s")
+    assert(q6 < q5, "expected Q6 (simple window agg) to outrun Q5 (battery + workshop lookup)")
   }
 }

@@ -141,14 +141,15 @@ object Baselines {
   }
 
   /** Q8a baseline — same output as [[Gcep.brakePatterns]], but every
-    * event (not just emergencies) is replicated into the sliding
-    * windows; the emergency predicate is evaluated inside the
-    * aggregation (no pushdown).
+    * event with a track segment (not just emergencies) is replicated
+    * into the sliding windows; the emergency predicate is evaluated
+    * inside the aggregation (no pushdown).
     */
   def brakePatterns(events: DataFrame,
                     sizeMs: Long = 600000L, slideMs: Long = 120000L,
                     k: Long = 3L): DataFrame = {
     val ev = events.withColumn("segment", Gcep.segmentCol)
+      .where(col("segment").isNotNull)
       .withColumn("emerg", col("brake_bar") < 2.0)
     Windows.sliding(ev, "ts_ms", sizeMs, slideMs, Seq("segment"),
         Seq(sum(when(col("emerg"), 1L).otherwise(0L)).as("n_events"),

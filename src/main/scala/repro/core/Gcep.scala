@@ -83,14 +83,15 @@ object Gcep {
   }
 
   /** Track segment id of a position: cell of a fixed 0.02° x 0.015°
-    * grid over the network frame (≈ 1.4 x 1.7 km segments).
+    * grid over the network frame (≈ 1.4 x 1.7 km segments); null for a
+    * position without a grid cell, as [[Geofencing.gridCell]] says.
     */
-  def segmentCol = (floor((col("lon") - RailNetwork.LonMin) / 0.02) * 1000 +
-    floor((col("lat") - RailNetwork.LatMin) / 0.015)).cast("long").as("segment")
+  def segmentCol = (Geofencing.gridCell("lon", RailNetwork.LonMin, 0.02).cast("long") * 1000 +
+    Geofencing.gridCell("lat", RailNetwork.LatMin, 0.015)).as("segment")
 
   /** Q8a — Monitoring Brakes (pattern): at least `k` emergency-brake
     * events (< 2 bar) in one sliding window over the same track
-    * segment.
+    * segment. An event without a segment is in no window.
     *
     * Output: win_start, segment, n_events, first_ms, last_ms.
     */
@@ -98,7 +99,8 @@ object Gcep {
                     sizeMs: Long = 600000L, slideMs: Long = 120000L,
                     k: Long = 3L): DataFrame =
     countPattern(events.withColumn("segment", segmentCol),
-      Seq("segment"), "ts_ms", col("brake_bar") < 2.0, sizeMs, slideMs, k)
+      Seq("segment"), "ts_ms", col("brake_bar") < 2.0 && col("segment").isNotNull,
+      sizeMs, slideMs, k)
 
   /** Count pattern (GCEP after Ziehn [10], which NebulaMEOS extends):
     * fire when at least `k` events satisfying `pred` fall in one sliding

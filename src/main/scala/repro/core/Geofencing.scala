@@ -127,22 +127,25 @@ object Geofencing {
     * Output: id, train, ts_ms, condition, severity, speed_kmh, suggested_kmh.
     */
   def weatherSpeedZones(events: DataFrame, weather: DataFrame): DataFrame = {
-    // The cell of a coordinate; null for NaN (`floor` would make it 0)
-    // and beyond the int range.
-    def cell(c: String, min: Double, size: Double): Column =
-      floor((nanvl(col(c), lit(null)) - min) / size).try_cast("int")
     // The start of the event's hour (`TrainData.T0` is on the hour),
     // computed in doubles, which hold every millisecond timestamp
     // exactly: no overflow-checked long arithmetic per event.
     val hour = (floor(col("ts_ms") / 3600000L) * 3600000.0).cast("long")
-    val w = call_function("st_weather", cell("lon", RailNetwork.LonMin, RailNetwork.CellLon),
-      cell("lat", RailNetwork.LatMin, RailNetwork.CellLat), hour, weatherLit(weather))
+    val w = call_function("st_weather", gridCell("lon", RailNetwork.LonMin, RailNetwork.CellLon),
+      gridCell("lat", RailNetwork.LatMin, RailNetwork.CellLat), hour, weatherLit(weather))
     events.withColumn("w", explode(w))
       .select(col("id"), col("train"), col("ts_ms"), col("w.condition"), col("w.severity"),
         col("speed_kmh"))
       .withColumn("suggested_kmh", suggestedKmh)
       .where(col("speed_kmh") > col("suggested_kmh"))
   }
+
+  /** The grid cell along coordinate column `c` of cells `size` wide
+    * from `min`; null for a null or NaN coordinate (`floor` would make
+    * NaN 0) and beyond the int range (an infinite or far off-frame one).
+    */
+  private[core] def gridCell(c: String, min: Double, size: Double): Column =
+    floor((nanvl(col(c), lit(null)) - min) / size).try_cast("int")
 
   /** Q4's limit for a weather `condition` and `severity`. */
   private[core] val suggestedKmh: Column = when(col("condition") === 0, 130.0)

@@ -1,13 +1,18 @@
 package repro.core
 
+import org.apache.spark.sql.{Column, Dataset}
+import org.apache.spark.sql.catalyst.plans.logical.{Filter, Project}
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.joins.{BroadcastNestedLoopJoinExec, CartesianProductExec}
 import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.streaming.OutputMode
 
 import repro.{Oracle, OracleSql, RowCompare, SparkSpec, TestData}
+import repro.bench.Harness
 import repro.meos.Geo
 import repro.sncb.{RailNetwork, TrainData, Zone}
+import repro.stream.StreamRunner
 
 /** Q5–Q8 against the DuckDB oracle and the naive baselines. */
 class GcepSpec extends SparkSpec {
@@ -222,6 +227,53 @@ class GcepSpec extends SparkSpec {
       assert(r.getAs[Long]("last_ms") < ws + 600000L)
       assert(r.getAs[Long]("first_ms") <= r.getAs[Long]("last_ms"))
     }
+  }
+
+  // Every emergency-brake event again at positions that have no track
+  // segment: NaN, null, infinite and far off-frame coordinates.
+  private lazy val badBrakes = {
+    val brakes = TestData.events01.where(col("brake_bar") < 2.0)
+    Seq[(Column, Column)]((lit(Double.NaN), col("lat")), (lit(null).cast("double"), col("lat")),
+      (lit(Double.PositiveInfinity), col("lat")), (lit(Double.NegativeInfinity), col("lat")),
+      (lit(1e18), col("lat")), (col("lon"), lit(Double.NaN)), (col("lon"), lit(-1e18))
+    ).zipWithIndex.map { case ((lon, lat), i) =>
+      brakes.withColumn("id", col("id") + (i + 1) * 1000000000L)
+        .withColumn("lon", lon).withColumn("lat", lat)
+    }.reduce(_ union _)
+  }
+
+  test("Q8a and its baseline ignore brake events without a track segment") {
+    val messy = TestData.events01.union(badBrakes)
+    Seq("CODEGEN_ONLY", "NO_CODEGEN").foreach { mode => withCodegen(mode) {
+      RowCompare.assertSameRows(Gcep.brakePatterns(messy, 600000L, 120000L, 2L), q8a)
+      RowCompare.assertSameRows(Baselines.brakePatterns(messy, 600000L, 120000L, 2L), q8a)
+    } }
+  }
+
+  test("Q8a on a stream ignores brake events without a track segment") {
+    implicit val s = spark
+    import s.implicits._
+    // A stream event's lon is a primitive double: it cannot be null.
+    val messy = TestData.events01.where(col("brake_bar") < 2.0)
+      .union(badBrakes.where(col("lon").isNotNull))
+    val rows = StreamRunner.runCollect[SensorEvent](spark, Harness.toChunks(messy, 3000),
+      (ds: Dataset[SensorEvent]) => Gcep.brakePatterns(ds.toDF(), 600000L, 120000L, 2L),
+      OutputMode.Complete(), "q8a_bad_positions")
+    val got = spark.createDataFrame(spark.sparkContext.parallelize(rows.toList),
+      spark.table("q8a_bad_positions").schema)
+    RowCompare.assertSameRows(got, q8a)
+  }
+
+  test("Q8a computes the track segment of emergency-brake events only") {
+    val plan = Gcep.brakePatterns(TestData.events01).queryExecution.optimizedPlan
+    val segmentAbove = plan.collect {
+      case p: Project if p.projectList.exists(_.name == "segment") =>
+        p.child.exists {
+          case f: Filter => f.condition.references.exists(_.name == "brake_bar")
+          case _ => false
+        }
+    }
+    assert(segmentAbove.nonEmpty && segmentAbove.forall(identity), plan.treeString)
   }
 
   private lazy val q8b = Gcep.persistentLowPressure(ev).cache()

@@ -1,12 +1,13 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Row}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.OutputMode
 import org.apache.spark.sql.types.DoubleType
 
 import repro.{RowCompare, SparkSpec, TestData}
+import repro.bench.Harness
 import repro.sncb.RailNetwork
 import repro.stream.StreamRunner
 
@@ -24,18 +25,7 @@ class StreamingQueriesSpec extends SparkSpec {
   private lazy val ev = TestData.events002
   private lazy val zones = TestData.zones
 
-  /** A stream as time-ordered SensorEvent chunks. */
-  private def chunksOf(events: DataFrame): Seq[Seq[SensorEvent]] =
-    events.orderBy("ts_ms", "train").collect().map { r =>
-      SensorEvent(r.getAs[Long]("id"), r.getAs[Int]("train"), r.getAs[Long]("seq"),
-        r.getAs[Long]("ts_ms"), r.getAs[Double]("lon"), r.getAs[Double]("lat"),
-        r.getAs[Double]("speed_kmh"), r.getAs[Double]("battery_v"),
-        r.getAs[Double]("temp_c"), r.getAs[Double]("brake_bar"),
-        r.getAs[Double]("noise_db"), r.getAs[Int]("passengers"),
-        Option(r.getAs[String]("alert_type")))
-    }.toSeq.grouped(3000).toSeq
-
-  private lazy val chunks = chunksOf(ev)
+  private lazy val chunks = Harness.toChunks(ev, 3000)
 
   private def runStream(q: DataFrame => DataFrame, mode: OutputMode,
                         name: String,
@@ -65,7 +55,7 @@ class StreamingQueriesSpec extends SparkSpec {
     // Ten whole minutes of all six trains: every Q2 window is complete.
     val slice = ev.where(col("seq") < 600).cache()
     val big = RailNetwork.toDf(spark, RailNetwork.all ++ RailNetwork.syntheticZones(2000)).cache()
-    val input = chunksOf(slice)
+    val input = Harness.toChunks(slice, 3000)
     Seq[(String, (DataFrame, DataFrame) => DataFrame, (DataFrame, DataFrame) => DataFrame,
         OutputMode)](
       ("sz1", Geofencing.alertFiltering, Baselines.alertFiltering, OutputMode.Append()),
