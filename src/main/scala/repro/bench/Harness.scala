@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.streaming.OutputMode
 
 import repro.core._
@@ -11,15 +12,22 @@ import repro.sncb.RailNetwork
   */
 object Harness {
 
-  /** Collect the stream as time-ordered SensorEvent chunks. */
+  /** The fields of [[SensorEvent]], in constructor order. */
+  private val Fields = Seq("id", "train", "seq", "ts_ms", "lon", "lat", "speed_kmh",
+    "battery_v", "temp_c", "brake_bar", "noise_db", "passengers", "alert_type")
+
+  /** Collect the stream as time-ordered SensorEvent chunks. A null in
+    * any field but `alert_type` fails with the field's name.
+    */
   def toChunks(ev: DataFrame, chunkSize: Int = 60000): Seq[Seq[SensorEvent]] =
-    ev.orderBy("ts_ms", "train").collect().map { r =>
-      SensorEvent(r.getAs[Long]("id"), r.getAs[Int]("train"), r.getAs[Long]("seq"),
-        r.getAs[Long]("ts_ms"), r.getAs[Double]("lon"), r.getAs[Double]("lat"),
-        r.getAs[Double]("speed_kmh"), r.getAs[Double]("battery_v"),
-        r.getAs[Double]("temp_c"), r.getAs[Double]("brake_bar"),
-        r.getAs[Double]("noise_db"), r.getAs[Int]("passengers"),
-        Option(r.getAs[String]("alert_type")))
+    ev.orderBy("ts_ms", "train").select(Fields.map(col): _*).collect().map { r =>
+      try SensorEvent(r.getLong(0), r.getInt(1), r.getLong(2), r.getLong(3),
+        r.getDouble(4), r.getDouble(5), r.getDouble(6), r.getDouble(7), r.getDouble(8),
+        r.getDouble(9), r.getDouble(10), r.getInt(11), Option(r.getString(12)))
+      catch { case e: RuntimeException =>
+        val i = Fields.indices.init.find(r.isNullAt).getOrElse(throw e)
+        throw new IllegalArgumentException(s"toChunks: ${Fields(i)} is null in $r", e)
+      }
     }.toSeq.grouped(chunkSize).toSeq
 
   /** The eight streaming formulations, keyed by query number: the

@@ -75,13 +75,15 @@ object Geofencing {
 
   /** Q1 — Location-Based Alert Filtering: drop non-essential (SPEED)
     * alerts raised inside maintenance zones; annotate the rest with
-    * whether they fired in a maintenance zone.
+    * whether they fired in a maintenance zone. An alert with no usable
+    * position (null lookup) is in no maintenance zone.
     *
     * Output: id, train, ts_ms, lon, lat, alert_type, in_maintenance.
     */
   def alertFiltering(events: DataFrame, zones: DataFrame): DataFrame =
     events.where(col("alert_type").isNotNull)
-      .withColumn("in_maintenance", size(zonesAt(zones, Seq("maintenance"))) > 0)
+      .withColumn("in_maintenance",
+        coalesce(size(zonesAt(zones, Seq("maintenance"))) > 0, lit(false)))
       .where(!(col("in_maintenance") && col("alert_type") === "SPEED"))
       .select("id", "train", "ts_ms", "lon", "lat", "alert_type", "in_maintenance")
 

@@ -43,26 +43,6 @@ object Geo {
               tmin: Double, tmax: Double): Boolean =
     inBox(lon, lat, xmin, xmax, ymin, ymax) && t >= tmin && t <= tmax
 
-  /** Distance in meters from point p to the segment (a, b).
-    *
-    * Projection is done in meter space so the anisotropy of degrees
-    * does not skew the foot of the perpendicular.
-    */
-  def pointSegmentDistMeters(plon: Double, plat: Double,
-                             alon: Double, alat: Double,
-                             blon: Double, blat: Double): Double = {
-    val ax = alon * MetersPerDegLon; val ay = alat * MetersPerDegLat
-    val bx = blon * MetersPerDegLon; val by = blat * MetersPerDegLat
-    val px = plon * MetersPerDegLon; val py = plat * MetersPerDegLat
-    val dx = bx - ax; val dy = by - ay
-    val len2 = dx * dx + dy * dy
-    val u =
-      if (len2 <= 0.0) 0.0
-      else math.max(0.0, math.min(1.0, ((px - ax) * dx + (py - ay) * dy) / len2))
-    val cx = ax + u * dx; val cy = ay + u * dy
-    math.hypot(px - cx, py - cy)
-  }
-
   /** Ray-casting point-in-polygon test, the function `st_point_in_poly`
     * calls.
     *

@@ -48,7 +48,7 @@ object SparkSpec {
   private object Plans extends AdaptiveSparkPlanHelper
 
   lazy val shared: SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("repro")
       .config("spark.sql.shuffle.partitions",

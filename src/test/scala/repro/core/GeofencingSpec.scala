@@ -70,6 +70,29 @@ class GeofencingSpec extends SparkSpec {
     assert(q1.where(col("alert_type") === "EQUIP").count() == equipIn)
   }
 
+  test("Q1 puts alerts at null and NaN positions in no maintenance zone") {
+    val alerts = ev.where(col("alert_type").isNotNull)
+    val idStep = ev.agg(max("id")).head().getLong(0) + 1
+    val noDouble = lit(null).cast("double")
+    val bad = Seq[(Column, Column)]((noDouble, col("lat")), (col("lon"), noDouble),
+      (lit(Double.NaN), col("lat")))
+    val copies = bad.zipWithIndex.map { case ((lon, lat), i) =>
+      alerts.withColumn("id", col("id") + idStep * (i + 1))
+        .withColumn("lon", lon).withColumn("lat", lat)
+    }.reduce(_ union _)
+    val events = alerts.union(copies)
+    val speedCopies = copies.where(col("alert_type") === "SPEED").count()
+    assert(speedCopies > 0)
+    Seq("CODEGEN_ONLY", "NO_CODEGEN").foreach { mode => withCodegen(mode) {
+      val out = Geofencing.alertFiltering(events, zones)
+      RowCompare.assertSameRows(out, Baselines.alertFiltering(events, zones))
+      val copied = out.where(col("id") >= idStep)
+      assert(copied.where(col("in_maintenance").isNull || col("in_maintenance")).count() == 0,
+        mode)
+      assert(copied.where(col("alert_type") === "SPEED").count() == speedCopies, mode)
+    } }
+  }
+
   // ---------------------------------------------------------- Q2 ----
 
   private lazy val q2 = Geofencing.noiseMonitoring(ev, zones).cache()

@@ -36,6 +36,13 @@ class StreamingQueriesSpec extends SparkSpec {
     spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), schema)
   }
 
+  test("toChunks fails on a null lon and names the field") {
+    assert(Harness.toChunks(ev.limit(3), 2).map(_.size) == Seq(2, 1))
+    val nullLon = ev.limit(3).union(ev.limit(1).withColumn("lon", lit(null).cast(DoubleType)))
+    val e = intercept[IllegalArgumentException](Harness.toChunks(nullLon, 2))
+    assert(e.getMessage.startsWith("toChunks: lon is null"), e.getMessage)
+  }
+
   test("Q1 streaming equals batch") {
     val got = runStream(Geofencing.alertFiltering(_, zones), OutputMode.Append(), "sq1")
     RowCompare.assertSameRows(got, Geofencing.alertFiltering(ev, zones))

@@ -13,8 +13,6 @@ class MeosFunctionsSpec extends SparkSpec {
 
   override def beforeAll(): Unit = { super.beforeAll(); NebulaMeos.setup(spark) }
 
-  import scala.jdk.CollectionConverters._
-
   private lazy val pts = {
     import spark.implicits._
     Seq(

@@ -55,7 +55,6 @@ class TrainDataSpec extends SparkSpec {
   }
 
   test("position freezes while stopped") {
-    import spark.implicits._
     val t0 = ev.where(col("train") === 0 && col("seq") < 120)
       .select("lon", "lat").distinct().count()
     assert(t0 == 1, "train 0 is stopped for its first 120 s")
