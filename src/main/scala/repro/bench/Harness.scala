@@ -31,12 +31,10 @@ object Harness {
     }.toSeq.grouped(chunkSize).toSeq
 
   /** The eight streaming formulations, keyed by query number: the
-    * batch plans of [[Geofencing]]/[[Gcep]] where Structured Streaming
-    * accepts them, [[Streaming]] for Q5 and Q7.
+    * batch plans of [[Geofencing]]/[[Gcep]], and [[Streaming]]'s for Q5.
     */
   def streamingQueries(spark: SparkSession, weather: DataFrame)
       : Seq[(Int, String, (Dataset[SensorEvent] => DataFrame, OutputMode))] = {
-    implicit val sp: SparkSession = spark
     val zones = RailNetwork.zonesDf(spark)
     Seq(
       (1, "Q1 alert filtering",
@@ -59,8 +57,7 @@ object Harness {
         ((ds: Dataset[SensorEvent]) => Gcep.heavyPassengerLoad(ds.toDF()),
           OutputMode.Complete())),
       (7, "Q7 unscheduled stops",
-        ((ds: Dataset[SensorEvent]) =>
-          Streaming.unscheduledStops(ds, RailNetwork.stations ++ RailNetwork.workshops),
+        ((ds: Dataset[SensorEvent]) => Gcep.unscheduledStops(ds.toDF(), zones),
           OutputMode.Append())),
       (8, "Q8 brake monitoring",
         ((ds: Dataset[SensorEvent]) => Gcep.brakePatterns(ds.toDF()),

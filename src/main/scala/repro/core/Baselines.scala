@@ -105,9 +105,10 @@ object Baselines {
   }
 
   /** Threshold windows by gaps and islands — same output as
-    * [[repro.stream.ThresholdWindow.batch]], written with the SQL a
-    * generic engine offers: two window passes (`lag`, then a running
-    * `sum`) number the runs of `pred`, and an aggregation closes them.
+    * [[repro.stream.ThresholdWindow]] on batch input, written with the
+    * SQL a generic engine offers: two window passes (`lag`, then a
+    * running `sum`) number the runs of `pred`, and an aggregation closes
+    * them.
     */
   def thresholdWindows(df: DataFrame, pred: Column, minDurMs: Long): DataFrame =
     islands(df, Seq("key"), "tsMs", pred)
@@ -126,10 +127,7 @@ object Baselines {
     */
   def unscheduledStops(events: DataFrame, zones: DataFrame,
                        minDurMs: Long = 60000L): DataFrame = {
-    val prepared = events.select(col("train").cast("long").as("key"),
-      col("ts_ms").as("tsMs"), col("speed_kmh").as("value"),
-      col("lon"), col("lat"))
-    val stops = thresholdWindows(prepared, col("value") < 1.0, minDurMs)
+    val stops = thresholdWindows(Gcep.series(events, "speed_kmh"), col("value") < 1.0, minDurMs)
     val designatedHits = stops
       .crossJoin(zones.withColumn("ring", ringCol))
       .where(expr("st_point_in_poly(cLon, cLat, ring)") &&
@@ -139,6 +137,14 @@ object Baselines {
       .select(col("key").as("train"), col("startMs"), col("endMs"),
         col("n"), col("cLon"), col("cLat"))
   }
+
+  /** Q8b baseline — same output as [[Gcep.persistentLowPressure]];
+    * low-pressure windows come from gaps and islands
+    * ([[thresholdWindows]]).
+    */
+  def persistentLowPressure(events: DataFrame, minDurMs: Long = 240000L): DataFrame =
+    thresholdWindows(Gcep.series(events, "brake_bar"), col("value") < 4.0, minDurMs)
+      .withColumnRenamed("key", "train")
 
   /** Q8a baseline — same output as [[Gcep.brakePatterns]], but every
     * event with a track segment (not just emergencies) is replicated

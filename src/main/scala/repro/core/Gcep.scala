@@ -71,16 +71,19 @@ object Gcep {
     * Output: train, startMs, endMs, n, cLon, cLat.
     */
   def unscheduledStops(events: DataFrame, zones: DataFrame,
-                       minDurMs: Long = 60000L): DataFrame = {
-    val prepared = events.select(col("train").cast("long").as("key"),
-      col("ts_ms").as("tsMs"), col("speed_kmh").as("value"),
-      col("lon"), col("lat"))
-    ThresholdWindow.batch(prepared, col("value") < 1.0, minDurMs)
+                       minDurMs: Long = 60000L): DataFrame =
+    ThresholdWindow(series(events, "speed_kmh"), col("value") < 1.0, minDurMs)
       .where(size(Geofencing.zonesAt(zones, Seq("station", "workshop"),
         col("cLon"), col("cLat"))) === 0)
       .select(col("key").as("train"), col("startMs"), col("endMs"),
         col("n"), col("cLon"), col("cLat"))
-  }
+
+  /** Each train's `value` column in the layout of
+    * [[repro.stream.ThresholdWindow]]: key, tsMs, value, lon, lat.
+    */
+  private[core] def series(events: DataFrame, value: String): DataFrame =
+    events.select(col("train").cast("long").as("key"), col("ts_ms").as("tsMs"),
+      col(value).as("value"), col("lon"), col("lat"))
 
   /** Track segment id of a position: cell of a fixed 0.02° x 0.015°
     * grid over the network frame (≈ 1.4 x 1.7 km segments); null for a
@@ -123,11 +126,6 @@ object Gcep {
     */
   def persistentLowPressure(events: DataFrame,
                             minDurMs: Long = 240000L): DataFrame =
-    ThresholdWindow.batch(
-        events.select(col("train").cast("long").as("key"),
-          col("ts_ms").as("tsMs"), col("brake_bar").as("value"),
-          col("lon"), col("lat")),
-        col("value") < 4.0, minDurMs)
-      .select(col("key").as("train"), col("startMs"), col("endMs"),
-        col("n"), col("avgValue"), col("cLon"), col("cLat"))
+    ThresholdWindow(series(events, "brake_bar"), col("value") < 4.0, minDurMs)
+      .withColumnRenamed("key", "train")
 }

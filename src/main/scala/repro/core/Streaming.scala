@@ -3,9 +3,8 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.meos.ZoneIndex
 import repro.sncb.{TrainData, Zone}
-import repro.stream.{ThresholdEvent, ThresholdWindow, Windows}
+import repro.stream.Windows
 
 /** One fused sensor record as fed to the streaming queries (mirrors the
   * columns of [[repro.sncb.TrainData.events]]).
@@ -16,13 +15,11 @@ final case class SensorEvent(id: Long, train: Int, seq: Long, ts_ms: Long,
                              noise_db: Double, passengers: Int,
                              alert_type: Option[String])
 
-/** Structured Streaming formulations of Q5 and of the threshold
-  * windows of Q7 and Q8b. The batch threshold window (a shuffle, a sort
-  * and a `mapPartitions` scan) does not run on a stream; Q5 is written
-  * independently of [[Gcep.batteryMonitoring]] so that each serves as
-  * the other's reference. Every other query runs its
-  * [[Geofencing]]/[[Gcep]] plan on the stream as-is. Tests assert each
-  * variant produces the same rows as its batch counterpart.
+/** Q5's second formulation and Q8b's reference. Q5 is written
+  * independently of [[Gcep.batteryMonitoring]], so that each serves as
+  * the other's reference, on batch and streaming input. Every other
+  * query, Q8b included, runs its [[Geofencing]]/[[Gcep]] plan on a
+  * stream as-is.
   */
 object Streaming {
 
@@ -62,35 +59,14 @@ object Streaming {
       .drop("best", "c_lon", "c_lat")
   }
 
-  /** Q7 streaming — threshold windows via `flatMapGroupsWithState`,
-    * then the same stateless designated-zone lookup as
-    * [[Gcep.unscheduledStops]].
-    */
-  def unscheduledStops(events: Dataset[SensorEvent], designated: Seq[Zone],
-                       minDurMs: Long = 60000L)
-                      (implicit spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val prepared = events.map(e =>
-      ThresholdEvent(e.train.toLong, e.ts_ms, e.speed_kmh, e.lon, e.lat))
-    ThresholdWindow.streaming(prepared, _ < 1.0, minDurMs)
-      .toDF()
-      .where(size(ZoneIndex.zonesAt(designated, col("cLon"), col("cLat"))) === 0)
-      .select(col("key").as("train"), col("startMs"), col("endMs"),
-        col("n"), col("cLon"), col("cLat"))
-  }
-
-  /** Q8b streaming — persistent low pressure via the streaming
-    * threshold window.
+  /** Q8b on a stream is [[Gcep.persistentLowPressure]]; on batch input
+    * it is [[Baselines.persistentLowPressure]] (gaps and islands), so a
+    * check of the batch plan against this method does not compare the
+    * threshold fold with itself.
     */
   def persistentLowPressure(events: Dataset[SensorEvent],
                             minDurMs: Long = 240000L)
-                           (implicit spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val prepared = events.map(e =>
-      ThresholdEvent(e.train.toLong, e.ts_ms, e.brake_bar, e.lon, e.lat))
-    ThresholdWindow.streaming(prepared, _ < 4.0, minDurMs)
-      .toDF()
-      .select(col("key").as("train"), col("startMs"), col("endMs"),
-        col("n"), col("avgValue"), col("cLon"), col("cLat"))
-  }
+                           (implicit spark: SparkSession): DataFrame =
+    if (events.isStreaming) Gcep.persistentLowPressure(events.toDF(), minDurMs)
+    else Baselines.persistentLowPressure(events.toDF(), minDurMs)
 }

@@ -1,14 +1,8 @@
 package repro.stream
 
-import org.apache.spark.sql.{Column, DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-
-/** One sensor event entering a threshold window (generic shape: a key,
-  * an event time, the thresholded measure, and a position).
-  */
-final case class ThresholdEvent(key: Long, tsMs: Long, value: Double,
-                                lon: Double, lat: Double)
 
 /** A closed threshold window: the maximal run of consecutive events of
   * one key during which the predicate held.
@@ -20,19 +14,15 @@ final case class ThresholdWin(key: Long, startMs: Long, endMs: Long,
                               n: Long, avgValue: Double,
                               cLon: Double, cLat: Double)
 
-private final case class ThresholdState(startMs: Long, endMs: Long, n: Long,
-                                        sumValue: Double, sumLon: Double, sumLat: Double)
-
-/** An event of the batch scan with its predicate already evaluated. */
+/** An event with its predicate already evaluated. */
 private final case class FlaggedEvent(key: Long, tsMs: Long, hit: Boolean,
                                       value: Double, lon: Double, lat: Double)
 
-/** The window the batch scan is extending. */
-private final class OpenWindow(val key: Long, val startMs: Long) {
-  var endMs = startMs
-  var n = 0L
-  var sumValue, sumLon, sumLat = 0.0
-
+/** The window being extended: the batch scan mutates one per partition,
+  * and a stream stores one per key between micro-batches.
+  */
+private final case class OpenWindow(key: Long, startMs: Long, var endMs: Long, var n: Long,
+                                    var sumValue: Double, var sumLon: Double, var sumLat: Double) {
   def add(e: FlaggedEvent): Unit = {
     endMs = e.tsMs; n += 1
     sumValue += e.value; sumLon += e.lon; sumLat += e.lat
@@ -44,94 +34,69 @@ private final class OpenWindow(val key: Long, val startMs: Long) {
     else None
 }
 
-/** NebulaStream threshold windows: open while `pred(value)` holds,
-  * close when it stops holding (or the stream ends for batch input).
-  *
-  * Two implementations with identical semantics on ordered input, both
-  * folding each event once, in event-time order, like NebulaStream's
-  * threshold window operator:
-  *   - [[batch]]: one sorted scan per key (`mapPartitions` after a
-  *     shuffle by key and a sort by event time);
-  *   - [[streaming]]: `flatMapGroupsWithState` — the Structured
-  *     Streaming extension point for custom window semantics, mirroring
-  *     the paper's extension of NebulaStream's window operands.
+/** The threshold fold over events sorted by (key, tsMs), continuing
+  * `open`: a hit opens or extends the key's window, anything else (a
+  * miss or a new key) closes it.
+  */
+private final class Fold(minDurMs: Long, var open: OpenWindow) {
+  def apply(e: FlaggedEvent): Option[ThresholdWin] =
+    if (e.hit && open != null && open.key == e.key) { open.add(e); None }
+    else {
+      val done = close()
+      if (e.hit) open = OpenWindow(e.key, e.tsMs, e.tsMs, 1, e.value, e.lon, e.lat)
+      done
+    }
+
+  def close(): Option[ThresholdWin] = {
+    val done = Option(open).flatMap(_.close(minDurMs))
+    open = null
+    done
+  }
+}
+
+/** NebulaStream threshold windows: open while a predicate holds, close
+  * when it stops holding. Each event is folded once, in event-time
+  * order, like NebulaStream's threshold window operator; the physical
+  * path follows the input.
   */
 object ThresholdWindow {
 
-  /** Batch threshold windows over columns (`key`, `tsMs`, `value`,
-    * `lon`, `lat`, none of them null); returns one row per window with
-    * duration >= `minDurMs`. A null predicate counts as false, and a
-    * window still open at the end of input is emitted.
+  /** Threshold windows over columns `key`, `tsMs`, `value`, `lon` and
+    * `lat`; one row per window with duration >= `minDurMs`. A null
+    * predicate counts as false, and a null value reads as NaN.
+    *   - Batch input: a shuffle by key, a sort by (key, tsMs) and one
+    *     `mapPartitions` scan. A window still open at the end of input
+    *     is emitted.
+    *   - Streaming input: per-key group state; each key's events of a
+    *     micro-batch are sorted by `tsMs` and folded from the stored
+    *     window. A window still open at the end of a micro-batch is
+    *     stored, not emitted. Disorder across micro-batches is not
+    *     handled.
     */
-  def batch(df: DataFrame, pred: Column, minDurMs: Long): DataFrame = {
+  def apply(df: DataFrame, pred: Column, minDurMs: Long): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    df.select(col("key"), col("tsMs"), coalesce(pred, lit(false)).as("hit"),
-        col("value"), col("lon"), col("lat"))
-      .repartition(col("key"))
-      .sortWithinPartitions("key", "tsMs")
-      .as[FlaggedEvent]
-      .mapPartitions(scan(_, minDurMs))
-      .toDF()
-  }
-
-  /** Fold events sorted by (key, tsMs): a hit opens or extends the
-    * key's window, anything else (a miss or a new key) closes it.
-    */
-  private def scan(events: Iterator[FlaggedEvent], minDurMs: Long): Iterator[ThresholdWin] = {
-    var open: OpenWindow = null
-    def close(): Option[ThresholdWin] = {
-      val done = Option(open).flatMap(_.close(minDurMs))
-      open = null
-      done
-    }
-    events.flatMap { e =>
-      if (e.hit && open != null && open.key == e.key) { open.add(e); None }
-      else {
-        val done = close()
-        if (e.hit) { open = new OpenWindow(e.key, e.tsMs); open.add(e) }
-        done
-      }
-    } ++ close()
-  }
-
-  /** Streaming threshold windows via `flatMapGroupsWithState`.
-    *
-    * Emits a window as soon as an event with `!pred(value)` arrives for
-    * the key (append mode). Events within a micro-batch are sorted by
-    * event time; cross-batch disorder is not handled (the bench feeds
-    * in order, as the train gateway does in the paper's setup).
-    */
-  def streaming(ds: Dataset[ThresholdEvent], pred: Double => Boolean,
-                minDurMs: Long)(implicit spark: SparkSession): Dataset[ThresholdWin] = {
-    import spark.implicits._
-    ds.groupByKey(_.key)
-      .flatMapGroupsWithState[ThresholdState, ThresholdWin](
-        OutputMode.Append(), GroupStateTimeout.NoTimeout()) {
-        (key: Long, it: Iterator[ThresholdEvent], state: GroupState[ThresholdState]) =>
-          val out = scala.collection.mutable.ArrayBuffer.empty[ThresholdWin]
-          var st: Option[ThresholdState] = state.getOption
-          it.toSeq.sortBy(_.tsMs).foreach { e =>
-            if (pred(e.value)) {
-              st = Some(st match {
-                case Some(s) => ThresholdState(s.startMs, e.tsMs, s.n + 1,
-                  s.sumValue + e.value, s.sumLon + e.lon, s.sumLat + e.lat)
-                case None => ThresholdState(e.tsMs, e.tsMs, 1, e.value, e.lon, e.lat)
-              })
-            } else {
-              st.foreach { s =>
-                if (s.endMs - s.startMs >= minDurMs)
-                  out += ThresholdWin(key, s.startMs, s.endMs, s.n,
-                    s.sumValue / s.n, s.sumLon / s.n, s.sumLat / s.n)
-              }
-              st = None
-            }
-          }
-          st match {
-            case Some(s) => state.update(s)
-            case None => if (state.exists) state.remove()
-          }
-          out.iterator
-      }
+    val events = df.select(col("key"), col("tsMs"), coalesce(pred, lit(false)).as("hit"),
+      coalesce(col("value"), lit(Double.NaN)).as("value"), col("lon"), col("lat"))
+    if (df.isStreaming)
+      events.groupBy("key").as[Long, FlaggedEvent]
+        .flatMapGroupsWithState[OpenWindow, ThresholdWin](
+          OutputMode.Append(), GroupStateTimeout.NoTimeout()) {
+          (_: Long, group: Iterator[FlaggedEvent], state: GroupState[OpenWindow]) =>
+            val fold = new Fold(minDurMs, state.getOption.orNull)
+            val closed = group.toArray.sortBy(_.tsMs).flatMap(fold(_))
+            if (fold.open != null) state.update(fold.open)
+            else if (state.exists) state.remove()
+            closed.iterator
+        }.toDF()
+    else
+      events.repartition(col("key"))
+        .sortWithinPartitions("key", "tsMs")
+        .as[FlaggedEvent]
+        .mapPartitions { sorted =>
+          val fold = new Fold(minDurMs, null)
+          sorted.flatMap(fold(_)) ++ fold.close()
+        }
+        .toDF()
   }
 }

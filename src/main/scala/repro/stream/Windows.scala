@@ -10,8 +10,9 @@ import org.apache.spark.sql.functions._
   * windows: aligned to the epoch, size + slide). Threshold windows —
   * NebulaStream's predicate-delimited windows, which open while a
   * predicate holds and close when it stops holding — have no Catalyst
-  * primitive; [[ThresholdWindow]] provides a batch (one sorted scan per
-  * key) and a streaming (`flatMapGroupsWithState`) implementation.
+  * primitive; [[ThresholdWindow]] is one operator with one fold, run as
+  * a sorted scan per key on batch input and with per-key group state on
+  * a stream.
   *
   * All helpers key windows on epoch-millisecond `LongType` columns so
   * outputs stay oracle-comparable (DuckDB reproduces the assignment

@@ -168,9 +168,7 @@ class GcepSpec extends SparkSpec {
   }
 
   test("Q7 finds unscheduled stops but not every stop") {
-    val allStops = repro.stream.ThresholdWindow.batch(
-      ev.select(col("train").cast("long").as("key"), col("ts_ms").as("tsMs"),
-        col("speed_kmh").as("value"), col("lon"), col("lat")),
+    val allStops = repro.stream.ThresholdWindow(Gcep.series(ev, "speed_kmh"),
       col("value") < 1.0, 60000L).count()
     assert(q7.count() > 0, "no unscheduled stops at SF=0.002")
     assert(q7.count() <= allStops)
@@ -295,6 +293,15 @@ class GcepSpec extends SparkSpec {
          |FROM isl WHERE brake_bar < 4.0 GROUP BY train, island
          |HAVING MAX(ts_ms) - MIN(ts_ms) >= 240000""".stripMargin,
       "events" -> ev)
+  }
+
+  test("Q8b equals the gaps-and-islands baseline") {
+    implicit val s = spark
+    import s.implicits._
+    RowCompare.assertSameRows(q8b, Baselines.persistentLowPressure(ev))
+    // On batch input Streaming's Q8b is that baseline: the reference the
+    // benchmark checks batch Q8b against.
+    RowCompare.assertSameRows(q8b, Streaming.persistentLowPressure(ev.as[SensorEvent]))
   }
 
   test("Q7 and Q8b fold threshold windows in one shuffle, no window operator") {

@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.apache.spark.sql.execution.MapElementsExec
+import org.apache.spark.sql.execution.streaming.operators.stateful.flatmapgroupswithstate.FlatMapGroupsWithStateExec
+import org.apache.spark.sql.execution.streaming.runtime.{MemoryStream, StreamingQueryWrapper}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.OutputMode
 import org.apache.spark.sql.types.DoubleType
@@ -13,9 +15,9 @@ import repro.stream.StreamRunner
 
 /** Every streaming formulation must produce the same rows as its batch
   * counterpart when the SF=0.002 stream is replayed through a
-  * MemoryStream in time-ordered micro-batches. Q1–Q4, Q6 and Q8a run
-  * their batch plans on the stream; Q5, Q7 and Q8b their [[Streaming]]
-  * formulations.
+  * MemoryStream in time-ordered micro-batches. Every query but Q5 runs
+  * its batch plan on the stream; Q5 runs its [[Streaming]] formulation.
+  * Q7 and Q8b compare the windows closed before the stream ends.
   */
 class StreamingQueriesSpec extends SparkSpec {
 
@@ -93,20 +95,14 @@ class StreamingQueriesSpec extends SparkSpec {
     RowCompare.assertSameRows(got, Gcep.heavyPassengerLoad(ev))
   }
 
+  /** Threshold windows still open at the end of the stream: batch
+    * reports them, a stream keeps them open. Compare closed ones only.
+    */
+  private lazy val lastTs = ev.agg(max("ts_ms")).head().getLong(0)
+
   test("Q7 streaming equals batch (closed windows)") {
-    implicit val s = spark
-    val rows = StreamRunner.runCollect[SensorEvent](spark, chunks,
-      (ds: Dataset[SensorEvent]) =>
-        Streaming.unscheduledStops(ds,
-          RailNetwork.stations ++ RailNetwork.workshops),
-      OutputMode.Append(), "sq7")
-    val schema = spark.table("sq7").schema
-    val got = spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), schema)
-    // The batch side also reports a window still open at end-of-stream;
-    // streaming (correctly) keeps it open. Compare closed windows only.
-    val lastTs = ev.agg(max("ts_ms")).head().getLong(0)
-    val batch = Gcep.unscheduledStops(ev, zones).where(col("endMs") < lastTs)
-    RowCompare.assertSameRows(got, batch)
+    val got = runStream(Gcep.unscheduledStops(_, zones), OutputMode.Append(), "sq7")
+    RowCompare.assertSameRows(got, Gcep.unscheduledStops(ev, zones).where(col("endMs") < lastTs))
   }
 
   test("Q8a streaming equals batch") {
@@ -115,15 +111,26 @@ class StreamingQueriesSpec extends SparkSpec {
   }
 
   test("Q8b streaming equals batch (closed windows)") {
-    implicit val s = spark
-    val rows = StreamRunner.runCollect[SensorEvent](spark, chunks,
-      (ds: Dataset[SensorEvent]) => Streaming.persistentLowPressure(ds),
-      OutputMode.Append(), "sq8b")
-    val schema = spark.table("sq8b").schema
-    val got = spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), schema)
-    val lastTs = ev.agg(max("ts_ms")).head().getLong(0)
-    val batch = Gcep.persistentLowPressure(ev).where(col("endMs") < lastTs)
-    RowCompare.assertSameRows(got, batch)
+    val got = runStream(Gcep.persistentLowPressure(_), OutputMode.Append(), "sq8b")
+    RowCompare.assertSameRows(got, Gcep.persistentLowPressure(ev).where(col("endMs") < lastTs))
+  }
+
+  test("Q7 and Q8b on a stream run one flatMapGroupsWithState and no typed map") {
+    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
+    for ((name, q) <- Seq[(String, DataFrame => DataFrame)](
+        ("pin7", Gcep.unscheduledStops(_, zones)), ("pin8b", Gcep.persistentLowPressure(_)))) {
+      val source = MemoryStream[SensorEvent]
+      val query = q(source.toDF())
+        .writeStream.format("memory").queryName(name).outputMode(OutputMode.Append()).start()
+      try {
+        source.addData(chunks.head)
+        query.processAllAvailable()
+        val plan = query.asInstanceOf[StreamingQueryWrapper].streamingQuery.lastExecution.executedPlan
+        val nodes = plan.collect { case n => n }
+        assert(nodes.count(_.isInstanceOf[FlatMapGroupsWithStateExec]) == 1, plan)
+        assert(!nodes.exists(_.isInstanceOf[MapElementsExec]), plan)
+      } finally query.stop()
+    }
   }
 
   /** `a` and `b` hold the same rows: columns other than doubles (keys
@@ -150,17 +157,21 @@ class StreamingQueriesSpec extends SparkSpec {
     }
   }
 
-  test("Q2, Q5, Q6 and Q8a over a four-partition source equal batch") {
+  /** `q` over a source that splits each chunk into four partitions,
+    * into the memory sink `name`.
+    */
+  private def runPartitioned(name: String, mode: OutputMode, q: DataFrame => DataFrame): DataFrame = {
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    def run(name: String, mode: OutputMode, q: DataFrame => DataFrame): DataFrame = {
-      val source = MemoryStream[SensorEvent](4)
-      val query = q(source.toDF())
-        .writeStream.format("memory").queryName(name).outputMode(mode).start()
-      try chunks.foreach { c => source.addData(c); query.processAllAvailable() }
-      finally query.stop()
-      spark.table(name)
-    }
-    val parts = run("mp_parts", OutputMode.Append(), _.select(spark_partition_id().as("p")))
+    val source = MemoryStream[SensorEvent](4)
+    val query = q(source.toDF())
+      .writeStream.format("memory").queryName(name).outputMode(mode).start()
+    try chunks.foreach { c => source.addData(c); query.processAllAvailable() }
+    finally query.stop()
+    spark.table(name)
+  }
+
+  test("Q2, Q5, Q6 and Q8a over a four-partition source equal batch") {
+    val parts = runPartitioned("mp_parts", OutputMode.Append(), _.select(spark_partition_id().as("p")))
     assert(parts.distinct().count() == 4, "the source did not split its chunks")
     Seq[(String, OutputMode, DataFrame => DataFrame, DataFrame)](
       ("mp2", OutputMode.Complete(), Geofencing.noiseMonitoring(_, zones),
@@ -172,7 +183,18 @@ class StreamingQueriesSpec extends SparkSpec {
     ).foreach { case (name, mode, q, batch) =>
       val want = batch.cache()
       assert(want.count() > 0, s"$name: batch found nothing to compare")
-      assertCloseRows(run(name, mode, q), want)
+      assertCloseRows(runPartitioned(name, mode, q), want)
+    }
+  }
+
+  test("Q7 and Q8b over a four-partition source equal batch (closed windows)") {
+    Seq[(String, DataFrame => DataFrame, DataFrame)](
+      ("mp7", Gcep.unscheduledStops(_, zones), Gcep.unscheduledStops(ev, zones)),
+      ("mp8b", Gcep.persistentLowPressure(_), Gcep.persistentLowPressure(ev))
+    ).foreach { case (name, q, batch) =>
+      val want = batch.where(col("endMs") < lastTs).cache()
+      assert(want.count() > 0, s"$name: batch found nothing to compare")
+      assertCloseRows(runPartitioned(name, OutputMode.Append(), q), want)
     }
   }
 }

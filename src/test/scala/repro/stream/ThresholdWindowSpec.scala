@@ -1,5 +1,6 @@
 package repro.stream
 
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
@@ -25,20 +26,20 @@ class ThresholdWindowSpec extends SparkSpec {
   }
 
   test("batch: finds both episodes of key 1 and none of key 2") {
-    val out = ThresholdWindow.batch(sample, col("value") < 1.0, 0L)
+    val out = ThresholdWindow(sample, col("value") < 1.0, 0L)
       .collect().map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3)))
       .sortBy(_._2)
     assert(out.toSeq == Seq((1L, 10000L, 14000L, 5L), (1L, 20000L, 21000L, 2L)))
   }
 
   test("batch: minDur filters short episodes") {
-    val out = ThresholdWindow.batch(sample, col("value") < 1.0, 3000L)
+    val out = ThresholdWindow(sample, col("value") < 1.0, 3000L)
       .collect().map(r => (r.getLong(1), r.getLong(2)))
     assert(out.toSeq == Seq((10000L, 14000L)))
   }
 
   test("batch: centroid and average value are per-episode") {
-    val r = ThresholdWindow.batch(sample, col("value") < 1.0, 3000L).head()
+    val r = ThresholdWindow(sample, col("value") < 1.0, 3000L).head()
     // Episode rows i=10..14: lon = 4.010 .. 4.014, avg = 4.012.
     assert(math.abs(r.getAs[Double]("cLon") - 4.012) < 1e-12)
     assert(r.getAs[Double]("avgValue") == 0.0)
@@ -48,7 +49,7 @@ class ThresholdWindowSpec extends SparkSpec {
     import spark.implicits._
     val df = (0 until 5).map(i => (1L, i * 1000L, 0.0, 4.0, 50.0))
       .toDF("key", "tsMs", "value", "lon", "lat")
-    val out = ThresholdWindow.batch(df, col("value") < 1.0, 0L).collect()
+    val out = ThresholdWindow(df, col("value") < 1.0, 0L).collect()
     assert(out.length == 1 && out.head.getLong(2) == 4000L)
   }
 
@@ -79,7 +80,7 @@ class ThresholdWindowSpec extends SparkSpec {
     spark.conf.set("spark.sql.shuffle.partitions", "8")
     try {
       for (minDur <- Seq(0L, 3000L)) {
-        val got = ThresholdWindow.batch(df, col("p"), minDur)
+        val got = ThresholdWindow(df, col("p"), minDur)
         RowCompare.assertSameRows(got, Baselines.thresholdWindows(df, col("p"), minDur))
         val wins = got.as[ThresholdWin].collect()
         assert(wins.exists(w => w.key == 0L && w.startMs == 0L && w.endMs == 3000L))
@@ -91,59 +92,94 @@ class ThresholdWindowSpec extends SparkSpec {
   }
 
   test("batch runs as one shuffle and one sorted scan, no window operator") {
-    val nodes = executedNodes(ThresholdWindow.batch(sample, col("value") < 1.0, 0L))
+    val nodes = executedNodes(ThresholdWindow(sample, col("value") < 1.0, 0L))
     assert(!nodes.exists(_.isInstanceOf[WindowExec]), nodes)
     assert(nodes.count(_.isInstanceOf[ShuffleExchangeExec]) == 1, nodes)
   }
 
+  /** One event: key, tsMs, value (None is null), lon, lat. */
+  private type Ev = (Long, Long, Option[Double], Double, Double)
+
+  private def ev(key: Long, tsMs: Long, value: Double): Ev =
+    (key, tsMs, Some(value), 4.0 + tsMs * 1e-6, 50.0 + key * 0.1)
+
+  private def frame(ds: Dataset[Ev]): DataFrame = ds.toDF("key", "tsMs", "value", "lon", "lat")
+
+  /** The threshold windows of `value < 1` over `chunks`, one micro-batch
+    * each, sorted by (key, startMs).
+    */
+  private def stream(chunks: Seq[Seq[Ev]], minDurMs: Long, name: String): Seq[ThresholdWin] = {
+    val rows = StreamRunner.runCollect[Ev](spark, chunks,
+      ds => ThresholdWindow(frame(ds), col("value") < 1.0, minDurMs), OutputMode.Append(), name)
+    spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), spark.table(name).schema)
+      .as[ThresholdWin].collect().toSeq.sortBy(w => (w.key, w.startMs))
+  }
+
+  /** The batch windows of the same input that a later miss closed. */
+  private def closedBatch(chunks: Seq[Seq[Ev]], minDurMs: Long): Seq[ThresholdWin] = {
+    val lastTs = chunks.flatten.map(_._2).max
+    ThresholdWindow(frame(chunks.flatten.toDS()), col("value") < 1.0, minDurMs)
+      .where(col("endMs") < lastTs)
+      .as[ThresholdWin].collect().toSeq.sortBy(w => (w.key, w.startMs))
+  }
+
   test("streaming matches batch on the same (closed) input") {
-    implicit val s = spark
-    import spark.implicits._
-    val events = sample.as[ThresholdEvent].collect().sortBy(e => (e.tsMs, e.key)).toSeq
-    val got = StreamRunner.runCollect(spark, Seq(events),
-        (ds: org.apache.spark.sql.Dataset[ThresholdEvent]) =>
-          ThresholdWindow.streaming(ds, _ < 1.0, 0L).toDF(),
-        OutputMode.Append(), "tw_stream_1")
-      .map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getLong(3)))
-      .sortBy(_._2)
-    assert(got.toSeq == Seq((1L, 10000L, 14000L, 5L), (1L, 20000L, 21000L, 2L)))
+    val events = sample.as[(Long, Long, Double, Double, Double)].collect()
+      .sortBy(e => (e._2, e._1)).map(e => (e._1, e._2, Option(e._3), e._4, e._5)).toSeq
+    val got = stream(Seq(events), 0L, "tw_stream_1")
+    assert(got.map(w => (w.key, w.startMs, w.endMs, w.n)) ==
+      Seq((1L, 10000L, 14000L, 5L), (1L, 20000L, 21000L, 2L)))
+    assert(got == closedBatch(Seq(events), 0L))
   }
 
   test("streaming: a window spanning two micro-batches is stitched") {
-    implicit val s = spark
-    val chunk1 = (0 until 5).map(i => ThresholdEvent(1L, i * 1000L, 0.0, 4.0, 50.0))
-    val chunk2 = Seq(ThresholdEvent(1L, 5000L, 0.0, 4.0, 50.0),
-      ThresholdEvent(1L, 6000L, 99.0, 4.0, 50.0))
-    val got = StreamRunner.runCollect(spark, Seq(chunk1, chunk2),
-        (ds: org.apache.spark.sql.Dataset[ThresholdEvent]) =>
-          ThresholdWindow.streaming(ds, _ < 1.0, 0L).toDF(),
-        OutputMode.Append(), "tw_stream_2")
-      .map(r => (r.getLong(1), r.getLong(2), r.getLong(3)))
-    assert(got.toSeq == Seq((0L, 5000L, 6L)))
+    val chunk1 = (0 until 5).map(i => ev(1L, i * 1000L, 0.0))
+    val chunk2 = Seq(ev(1L, 5000L, 0.0), ev(1L, 6000L, 99.0))
+    val got = stream(Seq(chunk1, chunk2), 0L, "tw_stream_2")
+    assert(got.map(w => (w.startMs, w.endMs, w.n)) == Seq((0L, 5000L, 6L)))
   }
 
   test("streaming: window still open when stream ends is not emitted") {
-    implicit val s = spark
-    val chunk = (0 until 5).map(i => ThresholdEvent(1L, i * 1000L, 0.0, 4.0, 50.0))
-    val got = StreamRunner.runCollect(spark, Seq(chunk),
-      (ds: org.apache.spark.sql.Dataset[ThresholdEvent]) =>
-        ThresholdWindow.streaming(ds, _ < 1.0, 0L).toDF(),
-      OutputMode.Append(), "tw_stream_3")
-    assert(got.isEmpty)
+    val chunk = (0 until 5).map(i => ev(1L, i * 1000L, 0.0))
+    assert(stream(Seq(chunk), 0L, "tw_stream_3").isEmpty)
   }
 
   test("streaming: minDur filtering applies") {
-    implicit val s = spark
-    val chunk = Seq(
-      ThresholdEvent(1L, 0L, 0.0, 4.0, 50.0), ThresholdEvent(1L, 1000L, 0.0, 4.0, 50.0),
-      ThresholdEvent(1L, 2000L, 9.0, 4.0, 50.0),
-      ThresholdEvent(1L, 3000L, 0.0, 4.0, 50.0), ThresholdEvent(1L, 9000L, 0.0, 4.0, 50.0),
-      ThresholdEvent(1L, 10000L, 9.0, 4.0, 50.0))
-    val got = StreamRunner.runCollect(spark, Seq(chunk),
-        (ds: org.apache.spark.sql.Dataset[ThresholdEvent]) =>
-          ThresholdWindow.streaming(ds, _ < 1.0, 5000L).toDF(),
-        OutputMode.Append(), "tw_stream_4")
-      .map(r => (r.getLong(1), r.getLong(2)))
-    assert(got.toSeq == Seq((3000L, 9000L)))
+    val chunk = Seq(ev(1L, 0L, 0.0), ev(1L, 1000L, 0.0), ev(1L, 2000L, 9.0),
+      ev(1L, 3000L, 0.0), ev(1L, 9000L, 0.0), ev(1L, 10000L, 9.0))
+    val got = stream(Seq(chunk), 5000L, "tw_stream_4")
+    assert(got.map(w => (w.startMs, w.endMs)) == Seq((3000L, 9000L)))
+  }
+
+  test("streaming: a null or NaN value is no hit, as in batch") {
+    // Hits at 0..2 s, a null at 3 s, hits at 4..5 s, a NaN at 6 s, hits
+    // at 7..8 s and a miss at 9 s: three windows, each closed.
+    val chunk = (0 until 10).map { i =>
+      val v = i match { case 3 => None; case 6 => Some(Double.NaN); case 9 => Some(5.0); case _ => Some(0.0) }
+      (1L, i * 1000L, v, 4.0, 50.0)
+    }
+    val got = stream(Seq(chunk), 0L, "tw_stream_null")
+    assert(got.map(w => (w.startMs, w.endMs, w.n)) ==
+      Seq((0L, 2000L, 3L), (4000L, 5000L, 2L), (7000L, 8000L, 2L)))
+    assert(got == closedBatch(Seq(chunk), 0L))
+  }
+
+  test("streaming: two keys interleaved across three micro-batches equal batch on closed windows") {
+    // Key 1 stops at 5..24 s and 40..44 s, key 2 at 0..11 s, 18..33 s and
+    // from 55 s on; the chunks end at 19, 39 and 59 s.
+    def stopped(key: Long, t: Int): Boolean =
+      if (key == 1L) (t >= 5 && t <= 24) || (t >= 40 && t <= 44)
+      else t <= 11 || (t >= 18 && t <= 33) || t >= 55
+    val events = for (t <- 0 until 60; key <- Seq(2L, 1L))
+      yield ev(key, t * 1000L, if (stopped(key, t)) 0.0 else 30.0 + t)
+    val chunks = events.grouped(40).toSeq
+    assert(chunks.size == 3)
+    for ((minDur, name) <- Seq(0L -> "tw_stream_keys_0", 10000L -> "tw_stream_keys_10")) {
+      val got = stream(chunks, minDur, name)
+      assert(got == closedBatch(chunks, minDur))
+      assert(got.map(w => (w.key, w.startMs, w.endMs)) ==
+        Seq((1L, 5000L, 24000L), (1L, 40000L, 44000L), (2L, 0L, 11000L), (2L, 18000L, 33000L))
+          .filter { case (_, s, e) => e - s >= minDur })
+    }
   }
 }
