@@ -12,11 +12,12 @@ import repro.stream.Windows
   * spatiotemporal library — every event tested against *every* zone by
   * generic point-in-polygon, no spatial index, no predicate pushdown
   * before window replication, threshold windows as gaps and islands,
-  * weather by a join.
+  * weather and the nearest workshop by joins.
   *
   * Each baseline is semantically identical to its [[Geofencing]] /
   * [[Gcep]] counterpart (tests assert result equality); Table 2
-  * compares their throughput.
+  * compares their throughput, and the benchmark checks the Q5 and Q8b
+  * plans against theirs through [[Streaming]].
   */
 object Baselines {
 
@@ -85,6 +86,26 @@ object Baselines {
       .select("id", "train", "ts_ms", "condition", "severity", "speed_kmh", "suggested_kmh")
   }
 
+  /** Q5 baseline — same output as [[Gcep.batteryMonitoring]], over the
+    * same alert windows ([[Gcep.batteryAlerts]]): each alert left-joined
+    * to the whole zone table on `kind = 'workshop'`, the nearest workshop
+    * the least (distance, zone id). An alert with no workshop, or no
+    * centroid, gets none.
+    */
+  def batteryMonitoring(events: DataFrame, zones: DataFrame,
+                        windowMs: Long = 300000L,
+                        devThreshold: Double = 1.5,
+                        tempThreshold: Double = 35.0): DataFrame = {
+    val alerts = Gcep.batteryAlerts(events, windowMs, devThreshold, tempThreshold)
+    val dist = expr("st_distance(c_lon, c_lat, (xmin + xmax) / 2, (ymin + ymax) / 2)")
+    alerts.join(zones, col("kind") === "workshop", "left")
+      .groupBy(alerts.columns.toSeq.map(col): _*)
+      .agg(min(when(dist.isNotNull, struct(dist.as("d"), col("zone_id")))).as("nearest"))
+      .withColumn("workshop_id", col("nearest.zone_id"))
+      .withColumn("workshop_dist_m", col("nearest.d"))
+      .drop("nearest", "c_lon", "c_lat")
+  }
+
   /** Gaps-and-islands annotation: for rows ordered by `tsMsCol` within
     * each key, assign an `island_id` that increments whenever `pred`
     * changes value, then keep only rows where `pred` holds. Each
@@ -108,7 +129,7 @@ object Baselines {
     * [[repro.stream.ThresholdWindow]] on batch input, written with the
     * SQL a generic engine offers: two window passes (`lag`, then a
     * running `sum`) number the runs of `pred`, and an aggregation closes
-    * them.
+    * them, averaging the finite coordinates into the centroid.
     */
   def thresholdWindows(df: DataFrame, pred: Column, minDurMs: Long): DataFrame =
     islands(df, Seq("key"), "tsMs", pred)
@@ -116,7 +137,7 @@ object Baselines {
       .agg(
         min("tsMs").as("startMs"), max("tsMs").as("endMs"),
         count(lit(1)).as("n"), avg("value").as("avgValue"),
-        avg("lon").as("cLon"), avg("lat").as("cLat"))
+        avg(Gcep.finite("lon")).as("cLon"), avg(Gcep.finite("lat")).as("cLat"))
       .where(col("endMs") - col("startMs") >= minDurMs)
       .drop("island_id")
 
@@ -134,8 +155,7 @@ object Baselines {
         col("kind").isin("station", "workshop"))
       .select("key", "startMs").distinct()
     stops.join(designatedHits, Seq("key", "startMs"), "left_anti")
-      .select(col("key").as("train"), col("startMs"), col("endMs"),
-        col("n"), col("cLon"), col("cLat"))
+      .drop("avgValue").withColumnRenamed("key", "train")
   }
 
   /** Q8b baseline — same output as [[Gcep.persistentLowPressure]];

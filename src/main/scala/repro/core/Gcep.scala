@@ -14,7 +14,7 @@ object Gcep {
     * alert on average deviation or overheating and attach the nearest
     * workshop: the least MEOS `st_distance` from the window's centroid
     * over the workshop catalogue, a stateless scalar per alert (null
-    * when there is no workshop). The catalogue comes from
+    * with no workshop or no centroid). The catalogue comes from
     * [[Geofencing.zoneSeq]]: a cached zone table is collected once, any
     * other at every plan build.
     *
@@ -25,29 +25,43 @@ object Gcep {
                         windowMs: Long = 300000L,
                         devThreshold: Double = 1.5,
                         tempThreshold: Double = 35.0): DataFrame = {
-    val dev = events.withColumn("dev",
-      abs(col("battery_v") - TrainData.expectedBatteryV(col("seq"))))
-    val win = Windows.tumbling(dev, "ts_ms", windowMs, Seq("train"),
-      Seq(count(lit(1)).as("n_events"), avg("dev").as("avg_dev"),
-        max("dev").as("max_dev"), max("temp_c").as("max_temp"),
-        avg("lon").as("c_lon"), avg("lat").as("c_lat")))
-    val alerts = win
-      .where(col("max_dev") > devThreshold || col("max_temp") > tempThreshold)
-      .withColumn("alert_kind",
-        when(col("max_dev") > devThreshold && col("max_temp") > tempThreshold, "BOTH")
-          .when(col("max_dev") > devThreshold, "BATTERY")
-          .otherwise("OVERHEAT"))
     val workshops = Geofencing.zoneSeq(zones).filter(_.kind == "workshop")
       .map(z => (z.cLon, z.cLat, z.zoneId))
     val nearest = array_min(transform(typedLit(workshops), w => struct(
       call_function("st_distance", col("c_lon"), col("c_lat"),
         w.getField("_1"), w.getField("_2")).as("dist"),
       w.getField("_3").as("id"))))
-    alerts.withColumn("nearest", nearest)
+    batteryAlerts(events, windowMs, devThreshold, tempThreshold)
+      .withColumn("nearest", when(col("c_lon").isNotNull && col("c_lat").isNotNull, nearest))
       .select(col("win_start"), col("train"), col("n_events"), col("avg_dev"),
         col("max_dev"), col("max_temp"), col("alert_kind"),
         col("nearest.id").as("workshop_id"), col("nearest.dist").as("workshop_dist_m"))
   }
+
+  /** Q5's alert windows, the part of its plan that
+    * [[Baselines.batteryMonitoring]] shares: the columns of
+    * [[batteryMonitoring]] but the workshop, and the window's centroid
+    * `c_lon`, `c_lat` over its finite coordinates, each null when the
+    * window has none.
+    */
+  private[core] def batteryAlerts(events: DataFrame, windowMs: Long,
+                                  devThreshold: Double, tempThreshold: Double): DataFrame = {
+    val dev = events.withColumn("dev",
+      abs(col("battery_v") - TrainData.expectedBatteryV(col("seq"))))
+    Windows.tumbling(dev, "ts_ms", windowMs, Seq("train"),
+        Seq(count(lit(1)).as("n_events"), avg("dev").as("avg_dev"),
+          max("dev").as("max_dev"), max("temp_c").as("max_temp"),
+          avg(finite("lon")).as("c_lon"), avg(finite("lat")).as("c_lat")))
+      .where(col("max_dev") > devThreshold || col("max_temp") > tempThreshold)
+      .withColumn("alert_kind",
+        when(col("max_dev") > devThreshold && col("max_temp") > tempThreshold, "BOTH")
+          .when(col("max_dev") > devThreshold, "BATTERY")
+          .otherwise("OVERHEAT"))
+  }
+
+  /** Column `c` where it is finite, else null: what a centroid averages. */
+  private[core] def finite(c: String): Column =
+    when(abs(col(c)) < Double.PositiveInfinity, col(c))
 
   /** Q6 — Heavy Passenger Load: per train and tumbling window, flag
     * windows with average occupancy at or above capacity (no free
@@ -66,17 +80,16 @@ object Gcep {
 
   /** Q7 — Unscheduled Stops: threshold windows where speed < 1 km/h for
     * at least `minDurMs`, whose centroid lies outside every designated
-    * (station or workshop) zone.
+    * (station or workshop) zone. A window with no centroid is in no zone.
     *
     * Output: train, startMs, endMs, n, cLon, cLat.
     */
   def unscheduledStops(events: DataFrame, zones: DataFrame,
                        minDurMs: Long = 60000L): DataFrame =
     ThresholdWindow(series(events, "speed_kmh"), col("value") < 1.0, minDurMs)
-      .where(size(Geofencing.zonesAt(zones, Seq("station", "workshop"),
-        col("cLon"), col("cLat"))) === 0)
-      .select(col("key").as("train"), col("startMs"), col("endMs"),
-        col("n"), col("cLon"), col("cLat"))
+      .where(!coalesce(size(Geofencing.zonesAt(zones, Seq("station", "workshop"),
+        col("cLon"), col("cLat"))) > 0, lit(false)))
+      .drop("avgValue").withColumnRenamed("key", "train")
 
   /** Each train's `value` column in the layout of
     * [[repro.stream.ThresholdWindow]]: key, tsMs, value, lon, lat.

@@ -8,29 +8,33 @@ import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode
   * one key during which the predicate held.
   *
   * @param cLon / cLat centroid of the positions inside the window —
-  *   the queries use it as "where did this episode happen".
+  *   the queries use it as "where did this episode happen". Each
+  *   averages its coordinate's finite values, and is null without one.
   */
 final case class ThresholdWin(key: Long, startMs: Long, endMs: Long,
                               n: Long, avgValue: Double,
-                              cLon: Double, cLat: Double)
+                              cLon: Option[Double], cLat: Option[Double])
 
-/** An event with its predicate already evaluated. */
+/** An event with its predicate evaluated; a null coordinate reads as NaN. */
 private final case class FlaggedEvent(key: Long, tsMs: Long, hit: Boolean,
                                       value: Double, lon: Double, lat: Double)
 
 /** The window being extended: the batch scan mutates one per partition,
   * and a stream stores one per key between micro-batches.
   */
-private final case class OpenWindow(key: Long, startMs: Long, var endMs: Long, var n: Long,
-                                    var sumValue: Double, var sumLon: Double, var sumLat: Double) {
+private final case class OpenWindow(key: Long, startMs: Long, var endMs: Long = 0, var n: Long = 0,
+                                    var sumValue: Double = 0, var sumLon: Double = 0,
+                                    var nLon: Long = 0, var sumLat: Double = 0, var nLat: Long = 0) {
   def add(e: FlaggedEvent): Unit = {
-    endMs = e.tsMs; n += 1
-    sumValue += e.value; sumLon += e.lon; sumLat += e.lat
+    endMs = e.tsMs; n += 1; sumValue += e.value
+    if (e.lon.isFinite) { sumLon += e.lon; nLon += 1 }
+    if (e.lat.isFinite) { sumLat += e.lat; nLat += 1 }
   }
 
   def close(minDurMs: Long): Option[ThresholdWin] =
     if (endMs - startMs >= minDurMs)
-      Some(ThresholdWin(key, startMs, endMs, n, sumValue / n, sumLon / n, sumLat / n))
+      Some(ThresholdWin(key, startMs, endMs, n, sumValue / n,
+        Option.when(nLon > 0)(sumLon / nLon), Option.when(nLat > 0)(sumLat / nLat)))
     else None
 }
 
@@ -43,7 +47,7 @@ private final class Fold(minDurMs: Long, var open: OpenWindow) {
     if (e.hit && open != null && open.key == e.key) { open.add(e); None }
     else {
       val done = close()
-      if (e.hit) open = OpenWindow(e.key, e.tsMs, e.tsMs, 1, e.value, e.lon, e.lat)
+      if (e.hit) { open = OpenWindow(e.key, e.tsMs); open.add(e) }
       done
     }
 
@@ -63,7 +67,8 @@ object ThresholdWindow {
 
   /** Threshold windows over columns `key`, `tsMs`, `value`, `lon` and
     * `lat`; one row per window with duration >= `minDurMs`. A null
-    * predicate counts as false, and a null value reads as NaN.
+    * predicate counts as false, and a null value reads as NaN. The
+    * centroid skips null and non-finite coordinates.
     *   - Batch input: a shuffle by key, a sort by (key, tsMs) and one
     *     `mapPartitions` scan. A window still open at the end of input
     *     is emitted.
@@ -76,8 +81,8 @@ object ThresholdWindow {
   def apply(df: DataFrame, pred: Column, minDurMs: Long): DataFrame = {
     val spark = df.sparkSession
     import spark.implicits._
-    val events = df.select(col("key"), col("tsMs"), coalesce(pred, lit(false)).as("hit"),
-      coalesce(col("value"), lit(Double.NaN)).as("value"), col("lon"), col("lat"))
+    val events = df.select(col("key") +: col("tsMs") +: coalesce(pred, lit(false)).as("hit") +:
+      Seq("value", "lon", "lat").map(c => coalesce(col(c), lit(Double.NaN)).as(c)): _*)
     if (df.isStreaming)
       events.groupBy("key").as[Long, FlaggedEvent]
         .flatMapGroupsWithState[OpenWindow, ThresholdWin](

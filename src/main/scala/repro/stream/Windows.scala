@@ -3,20 +3,14 @@ package repro.stream
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-/** NebulaStream-style window operators over event streams.
+/** NebulaStream's time-based windows (aligned to the epoch, size +
+  * slide) over event streams: each computes its `win_start` itself and
+  * groups by it, so one plan runs on batch and streaming input.
+  * Threshold windows are [[ThresholdWindow]].
   *
-  * Tumbling and sliding windows are thin wrappers over Spark's
-  * event-time `window()` (same semantics as NebulaStream's time-based
-  * windows: aligned to the epoch, size + slide). Threshold windows —
-  * NebulaStream's predicate-delimited windows, which open while a
-  * predicate holds and close when it stops holding — have no Catalyst
-  * primitive; [[ThresholdWindow]] is one operator with one fold, run as
-  * a sorted scan per key on batch input and with per-key group state on
-  * a stream.
-  *
-  * All helpers key windows on epoch-millisecond `LongType` columns so
-  * outputs stay oracle-comparable (DuckDB reproduces the assignment
-  * with integer arithmetic).
+  * Windows are keyed on epoch-millisecond `LongType` columns so outputs
+  * stay oracle-comparable (DuckDB reproduces the assignment with integer
+  * arithmetic).
   */
 object Windows {
 

@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions._
 
 import repro.core.NebulaMeos
 import repro.sncb.{RailNetwork, TrainData}
@@ -27,6 +28,22 @@ object TestData {
   /** ~60K events — planted-positive / streaming-equality scale. */
   lazy val events01: DataFrame = {
     val df = TrainData.events(spark, sf = 0.01).cache()
+    df.count()
+    df
+  }
+
+  /** events002 with unusable positions: every lon of train 1 is NaN; of
+    * the other events, one in 25 has a null lon, one a NaN, one +Inf and
+    * one -Inf, and one in 11 a NaN lat.
+    */
+  lazy val badPositions002: DataFrame = {
+    val k = col("id") % 25
+    val df = events002
+      .withColumn("lon", when(col("train") === 1, Double.NaN).when(k === 0, lit(null))
+        .when(k === 5, Double.NaN).when(k === 10, Double.PositiveInfinity)
+        .when(k === 15, Double.NegativeInfinity).otherwise(col("lon")))
+      .withColumn("lat", when(col("id") % 11 === 3, Double.NaN).otherwise(col("lat")))
+      .cache()
     df.count()
     df
   }

@@ -80,11 +80,13 @@ class GcepSpec extends SparkSpec {
     }
   }
 
-  test("Q5 keeps every alert with 0, 1 or 3 workshops, batch and streaming alike") {
+  test("Q5 and its baseline keep every alert with 0, 1 or 3 workshops") {
     val alerts = q5.count()
     for (ws <- Seq(Seq.empty[Zone], RailNetwork.workshops.take(1), RailNetwork.workshops)) {
       val z = zones.where(col("kind") =!= "workshop" || col("zone_id").isin(ws.map(_.zoneId): _*))
       val batch = Gcep.batteryMonitoring(ev, z)
+      RowCompare.assertSameRows(batch, Baselines.batteryMonitoring(ev, z))
+      // The benchmark's Q5 reference is that baseline, over a table of `ws`.
       RowCompare.assertSameRows(batch, Streaming.batteryMonitoring(ev, ws))
       assert(batch.count() == alerts)
       val ids = batch.select("workshop_id", "workshop_dist_m").collect()
@@ -93,6 +95,21 @@ class GcepSpec extends SparkSpec {
       else assert(ids.forall { case (id, d) =>
         id.exists(i => ws.exists(_.zoneId == i)) && d.isDefined }, ids.toSeq)
     }
+  }
+
+  test("Q5 and its baseline give an alert without a finite centroid no workshop") {
+    // Every lon of train 1 is NaN; the other trains' windows keep finite ones.
+    val bad = TestData.badPositions002
+    val got = Gcep.batteryMonitoring(bad, zones).cache()
+    RowCompare.assertSameRows(got, Baselines.batteryMonitoring(bad, zones))
+    RowCompare.assertSameRows(got, Streaming.batteryMonitoring(bad, RailNetwork.workshops))
+    assert(got.count() == q5.count())
+    val (none, some) = got.collect().toSeq.partition(_.getAs[Int]("train") == 1)
+    assert(none.nonEmpty && some.nonEmpty)
+    assert(none.forall(r => r.isNullAt(r.fieldIndex("workshop_id")) &&
+      r.isNullAt(r.fieldIndex("workshop_dist_m"))), none)
+    assert(some.forall(r => !r.isNullAt(r.fieldIndex("workshop_id")) &&
+      r.getAs[Double]("workshop_dist_m").isFinite), some)
   }
 
   test("Q5 picks the nearest workshop without a join: one aggregation exchange") {
@@ -165,6 +182,20 @@ class GcepSpec extends SparkSpec {
 
   test("Q7 equals the naive baseline") {
     RowCompare.assertSameRows(q7, Baselines.unscheduledStops(ev, zones))
+  }
+
+  test("Q7 and Q8b at null, NaN and infinite positions equal their baselines") {
+    val bad = TestData.badPositions002
+    Seq("CODEGEN_ONLY", "NO_CODEGEN").foreach { mode => withCodegen(mode) {
+      val stops = Gcep.unscheduledStops(bad, zones).cache()
+      RowCompare.assertSameRows(stops, Baselines.unscheduledStops(bad, zones))
+      RowCompare.assertSameRows(Gcep.persistentLowPressure(bad), Baselines.persistentLowPressure(bad))
+      // Train 1 has no finite lon: its stops have no centroid, so no zone.
+      assert(stops.where(col("train") === 1 && col("cLon").isNull && col("cLat").isNotNull)
+        .count() > 0)
+      assert(stops.where(isnan(col("cLon")) || isnan(col("cLat"))).count() == 0)
+      stops.unpersist()
+    } }
   }
 
   test("Q7 finds unscheduled stops but not every stop") {
@@ -254,11 +285,9 @@ class GcepSpec extends SparkSpec {
     // A stream event's lon is a primitive double: it cannot be null.
     val messy = TestData.events01.where(col("brake_bar") < 2.0)
       .union(badBrakes.where(col("lon").isNotNull))
-    val rows = StreamRunner.runCollect[SensorEvent](spark, Harness.toChunks(messy, 3000),
+    val got = StreamRunner.runCollect[SensorEvent](spark, Harness.toChunks(messy, 3000),
       (ds: Dataset[SensorEvent]) => Gcep.brakePatterns(ds.toDF(), 600000L, 120000L, 2L),
       OutputMode.Complete(), "q8a_bad_positions")
-    val got = spark.createDataFrame(spark.sparkContext.parallelize(rows.toList),
-      spark.table("q8a_bad_positions").schema)
     RowCompare.assertSameRows(got, q8a)
   }
 

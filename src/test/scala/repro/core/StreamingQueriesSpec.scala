@@ -13,11 +13,10 @@ import repro.bench.Harness
 import repro.sncb.RailNetwork
 import repro.stream.StreamRunner
 
-/** Every streaming formulation must produce the same rows as its batch
-  * counterpart when the SF=0.002 stream is replayed through a
-  * MemoryStream in time-ordered micro-batches. Every query but Q5 runs
-  * its batch plan on the stream; Q5 runs its [[Streaming]] formulation.
-  * Q7 and Q8b compare the windows closed before the stream ends.
+/** Every query's plan must produce the same rows on a stream as on
+  * batch input when the SF=0.002 stream is replayed through a
+  * MemoryStream in time-ordered micro-batches. Q7 and Q8b compare the
+  * windows closed before the stream ends.
   */
 class StreamingQueriesSpec extends SparkSpec {
 
@@ -29,14 +28,10 @@ class StreamingQueriesSpec extends SparkSpec {
 
   private lazy val chunks = Harness.toChunks(ev, 3000)
 
-  private def runStream(q: DataFrame => DataFrame, mode: OutputMode,
-                        name: String,
-                        input: Seq[Seq[SensorEvent]] = chunks): DataFrame = {
-    val rows = StreamRunner.runCollect[SensorEvent](spark, input,
-      (ds: Dataset[SensorEvent]) => q(ds.toDF()), mode, name)
-    val schema = spark.table(name).schema
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), schema)
-  }
+  private def runStream(q: DataFrame => DataFrame, mode: OutputMode, name: String,
+                        input: Seq[Seq[SensorEvent]] = chunks, partitions: Int = 1): DataFrame =
+    StreamRunner.runCollect[SensorEvent](spark, input,
+      (ds: Dataset[SensorEvent]) => q(ds.toDF()), mode, name, partitions)
 
   test("toChunks fails on a null lon and names the field") {
     assert(Harness.toChunks(ev.limit(3), 2).map(_.size) == Seq(2, 1))
@@ -85,8 +80,7 @@ class StreamingQueriesSpec extends SparkSpec {
   }
 
   test("Q5 streaming equals batch") {
-    val got = runStream(Streaming.batteryMonitoring(_, RailNetwork.workshops),
-      OutputMode.Complete(), "sq5")
+    val got = runStream(Gcep.batteryMonitoring(_, zones), OutputMode.Complete(), "sq5")
     RowCompare.assertSameRows(got, Gcep.batteryMonitoring(ev, zones))
   }
 
@@ -103,6 +97,20 @@ class StreamingQueriesSpec extends SparkSpec {
   test("Q7 streaming equals batch (closed windows)") {
     val got = runStream(Gcep.unscheduledStops(_, zones), OutputMode.Append(), "sq7")
     RowCompare.assertSameRows(got, Gcep.unscheduledStops(ev, zones).where(col("endMs") < lastTs))
+  }
+
+  test("Q7 and Q8b streaming equal batch at NaN and infinite positions (closed windows)") {
+    // A stream event's lon is a primitive double: a null lon becomes NaN.
+    val bad = TestData.badPositions002
+      .withColumn("lon", coalesce(col("lon"), lit(Double.NaN))).cache()
+    val input = Harness.toChunks(bad, 3000)
+    Seq[(String, DataFrame => DataFrame)](
+      ("sbad7", Gcep.unscheduledStops(_, zones)), ("sbad8b", Gcep.persistentLowPressure(_))
+    ).foreach { case (name, q) =>
+      val want = q(bad).where(col("endMs") < lastTs).cache()
+      assert(want.where(col("cLon").isNull).count() > 0, s"$name: no window without a centroid")
+      RowCompare.assertSameRows(runStream(q, OutputMode.Append(), name, input), want)
+    }
   }
 
   test("Q8a streaming equals batch") {
@@ -157,33 +165,21 @@ class StreamingQueriesSpec extends SparkSpec {
     }
   }
 
-  /** `q` over a source that splits each chunk into four partitions,
-    * into the memory sink `name`.
-    */
-  private def runPartitioned(name: String, mode: OutputMode, q: DataFrame => DataFrame): DataFrame = {
-    implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val source = MemoryStream[SensorEvent](4)
-    val query = q(source.toDF())
-      .writeStream.format("memory").queryName(name).outputMode(mode).start()
-    try chunks.foreach { c => source.addData(c); query.processAllAvailable() }
-    finally query.stop()
-    spark.table(name)
-  }
-
   test("Q2, Q5, Q6 and Q8a over a four-partition source equal batch") {
-    val parts = runPartitioned("mp_parts", OutputMode.Append(), _.select(spark_partition_id().as("p")))
+    val parts = runStream(_.select(spark_partition_id().as("p")), OutputMode.Append(), "mp_parts",
+      partitions = 4)
     assert(parts.distinct().count() == 4, "the source did not split its chunks")
     Seq[(String, OutputMode, DataFrame => DataFrame, DataFrame)](
       ("mp2", OutputMode.Complete(), Geofencing.noiseMonitoring(_, zones),
         Geofencing.noiseMonitoring(ev, zones)),
-      ("mp5", OutputMode.Complete(), df => Streaming.batteryMonitoring(df, RailNetwork.workshops),
+      ("mp5", OutputMode.Complete(), Gcep.batteryMonitoring(_, zones),
         Gcep.batteryMonitoring(ev, zones)),
       ("mp6", OutputMode.Complete(), Gcep.heavyPassengerLoad(_), Gcep.heavyPassengerLoad(ev)),
       ("mp8a", OutputMode.Complete(), Gcep.brakePatterns(_), Gcep.brakePatterns(ev))
     ).foreach { case (name, mode, q, batch) =>
       val want = batch.cache()
       assert(want.count() > 0, s"$name: batch found nothing to compare")
-      assertCloseRows(runPartitioned(name, mode, q), want)
+      assertCloseRows(runStream(q, mode, name, partitions = 4), want)
     }
   }
 
@@ -194,7 +190,7 @@ class StreamingQueriesSpec extends SparkSpec {
     ).foreach { case (name, q, batch) =>
       val want = batch.where(col("endMs") < lastTs).cache()
       assert(want.count() > 0, s"$name: batch found nothing to compare")
-      assertCloseRows(runPartitioned(name, OutputMode.Append(), q), want)
+      assertCloseRows(runStream(q, OutputMode.Append(), name, partitions = 4), want)
     }
   }
 }

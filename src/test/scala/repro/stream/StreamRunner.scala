@@ -1,6 +1,6 @@
 package repro.stream
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.OutputMode
 
@@ -10,20 +10,21 @@ import org.apache.spark.sql.streaming.OutputMode
   */
 object StreamRunner {
 
-  /** Run `q` over `chunks` of events fed batch-by-batch; returns the
-    * collected sink rows after all input is processed.
+  /** Run `q` over `chunks` of events fed batch-by-batch, each chunk split
+    * into `partitions` partitions; returns the memory sink `name` after
+    * all input is processed. The sink table stays readable after the
+    * query stops.
     */
   def runCollect[T: Encoder](spark: SparkSession, chunks: Seq[Seq[T]],
                              q: Dataset[T] => DataFrame,
                              outputMode: OutputMode = OutputMode.Append(),
-                             name: String = "stream_out"): Seq[Row] = {
+                             name: String = "stream_out", partitions: Int = 1): DataFrame = {
     implicit val sqlCtx: org.apache.spark.sql.SQLContext = spark.sqlContext
-    val source = MemoryStream[T]
+    val source = MemoryStream[T](partitions)
     val query = q(source.toDS())
       .writeStream.format("memory").queryName(name).outputMode(outputMode).start()
-    try {
-      chunks.foreach { c => source.addData(c); query.processAllAvailable() }
-      spark.table(name).collect().toSeq
-    } finally query.stop()
+    try chunks.foreach { c => source.addData(c); query.processAllAvailable() }
+    finally query.stop()
+    spark.table(name)
   }
 }

@@ -109,9 +109,8 @@ class ThresholdWindowSpec extends SparkSpec {
     * each, sorted by (key, startMs).
     */
   private def stream(chunks: Seq[Seq[Ev]], minDurMs: Long, name: String): Seq[ThresholdWin] = {
-    val rows = StreamRunner.runCollect[Ev](spark, chunks,
-      ds => ThresholdWindow(frame(ds), col("value") < 1.0, minDurMs), OutputMode.Append(), name)
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toList), spark.table(name).schema)
+    StreamRunner.runCollect[Ev](spark, chunks,
+        ds => ThresholdWindow(frame(ds), col("value") < 1.0, minDurMs), OutputMode.Append(), name)
       .as[ThresholdWin].collect().toSeq.sortBy(w => (w.key, w.startMs))
   }
 
